@@ -40,9 +40,17 @@ class BundleDescriptor:
             )
 
 
-def thom_pair_homology(bundle: BundleDescriptor) -> HomologyProfile:
-    """H_*(disc bundle, sphere bundle; Z)."""
-    base = homology(catalog_complex(bundle.base, bundle.character))
+def thom_pair_homology(
+    bundle: BundleDescriptor, base: HomologyProfile | None = None
+) -> HomologyProfile:
+    """H_*(disc bundle, sphere bundle; Z).
+
+    ``base`` is the homology of the base with coefficients twisted by the
+    bundle's character, for a caller that already has it; it is computed
+    when omitted.
+    """
+    if base is None:
+        base = homology(catalog_complex(bundle.base, bundle.character))
     return base.shifted(bundle.rank)
 
 

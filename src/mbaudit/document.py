@@ -94,7 +94,7 @@ def parse_space(obj: Any, what: str = "space") -> Space:
         if obj == "torus2":
             return Torus2()
         kind, sep, arg = obj.partition(":")
-        if sep and arg.isdigit() and kind in ("sphere", "rp"):
+        if sep and arg.isascii() and arg.isdigit() and kind in ("sphere", "rp"):
             try:
                 return Sphere(int(arg)) if kind == "sphere" else RealProjective(int(arg))
             except ValueError as exc:
@@ -124,7 +124,7 @@ def _parse_indexed_matrices(obj: Any, what: str) -> dict[int, IntegerMatrix]:
     m = _require_mapping(obj, what)
     out: dict[int, IntegerMatrix] = {}
     for key, value in m.items():
-        if not isinstance(key, str) or not key.isdigit():
+        if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
             raise DocumentError(f"{what} keys must be nonnegative integer strings")
         out[int(key)] = parse_matrix(value, f"{what}[{key}]")
     return out
@@ -155,7 +155,7 @@ def _parse_morse(obj: Any) -> tuple[MorseData, dict[str, SignTwist]]:
 def parse_document(text: str) -> AuditDocument:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     m = _require_mapping(obj, "document")
     _check_keys(m, "document", {"format", "ambient"}, {"criticals", "morse", "bundle"})

@@ -12,9 +12,12 @@ twisted by the recorded negative-bundle orientation character in
 times a polynomial with nonnegative coefficients, and reports exactly
 how that fails when it does.
 
-The quotient is computed twice, by synthetic division and by the
-alternating partial sums q_k = sum_{i<=k} (-1)^(k-i) (mb_i - p_i); the
-two routes must agree and the check is kept even in production.
+The quotient comes from synthetic division and is checked by multiplying
+back, (1 + t) * Q == MB - P; the check is kept even in production.
+
+Each :class:`MorseBottData` computes the homology of a (space,
+character) pair, and the pair homology of a negative bundle, at most
+once, and keeps them for the audits that follow.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .homology import (
     space_dim,
     space_tag,
 )
-from .polyalg import IntPoly, NotDivisibleError, divide_by_one_plus_t
+from .polyalg import ONE_PLUS_T, IntPoly, divide_by_one_plus_t
 
 MODES = ("untwisted", "local")
 
@@ -59,7 +62,11 @@ class CriticalSubmanifold:
 
 @dataclass(frozen=True, init=False)
 class MorseBottData:
-    """Ambient space plus critical submanifolds in filtration order."""
+    """Ambient space plus critical submanifolds in filtration order.
+
+    Homology profiles are memoized per object in tables that are not
+    dataclass fields, so equality, hashing and repr see only the data.
+    """
 
     ambient: Space
     criticals: tuple[CriticalSubmanifold, ...]
@@ -91,9 +98,34 @@ class MorseBottData:
                 )
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "criticals", crits)
+        object.__setattr__(self, "_profiles", {})
+        object.__setattr__(self, "_pairs", {})
+
+    def _homology(
+        self,
+        space: Space,
+        character: OrientationCharacter = OrientationCharacter.TRIVIAL,
+    ) -> HomologyProfile:
+        """Homology of a space with plain or twisted coefficients."""
+        key = (space, character)
+        profile = self._profiles.get(key)
+        if profile is None:
+            profile = homology(catalog_complex(space, character))
+            self._profiles[key] = profile
+        return profile
+
+    def _pair_homology(self, bundle: BundleDescriptor) -> HomologyProfile:
+        """Disc/sphere pair homology of a negative bundle."""
+        pair = self._pairs.get(bundle)
+        if pair is None:
+            pair = thom_pair_homology(
+                bundle, self._homology(bundle.base, bundle.character)
+            )
+            self._pairs[bundle] = pair
+        return pair
 
     def ambient_homology(self) -> HomologyProfile:
-        return homology(catalog_complex(self.ambient))
+        return self._homology(self.ambient)
 
     def ambient_poincare(self) -> IntPoly:
         return self.ambient_homology().poincare_polynomial()
@@ -107,14 +139,18 @@ def _check_mode(mode: str) -> None:
 def mb_polynomial(data: MorseBottData, mode: str = "untwisted") -> IntPoly:
     """The counting polynomial of the critical submanifolds."""
     _check_mode(mode)
-    total = IntPoly()
+    coeffs: list[int] = []
     for crit in data.criticals:
         character = (
             crit.negative_character if mode == "local" else OrientationCharacter.TRIVIAL
         )
-        p = homology(catalog_complex(crit.space, character)).poincare_polynomial()
-        total = total + p.shift(crit.index)
-    return total
+        groups = data._homology(crit.space, character).groups
+        top = crit.index + len(groups)
+        if len(coeffs) < top:
+            coeffs.extend([0] * (top - len(coeffs)))
+        for k, group in enumerate(groups, start=crit.index):
+            coeffs[k] += group.free_rank
+    return IntPoly(coeffs)
 
 
 class InequalityVerdict:
@@ -147,15 +183,6 @@ class FailsNegativeCoefficient(InequalityVerdict):
     quotient: IntPoly
 
 
-def _alternating_quotient(diff: IntPoly) -> IntPoly:
-    """The quotient by 1 + t computed as alternating partial sums."""
-    n = len(diff.coeffs)
-    qs = []
-    for k in range(max(n - 1, 0)):
-        qs.append(sum((-1) ** (k - i) * diff.coeffs[i] for i in range(k + 1)))
-    return IntPoly(qs)
-
-
 def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
     """Audit mb against p: is mb - p = (1 + t) * Q with Q >= 0?"""
     diff = mb - p
@@ -163,10 +190,9 @@ def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
     if gap != 0:
         return FailsNotDivisible(gap)
     quotient = divide_by_one_plus_t(diff)
-    alt = _alternating_quotient(diff)
-    if quotient != alt:
+    if ONE_PLUS_T * quotient != diff:
         raise AssertionError(
-            f"division routes disagree: {quotient.coeffs} vs {alt.coeffs}"
+            f"(1 + t) * {quotient.coeffs} does not reconstruct {diff.coeffs}"
         )
     for k, c in enumerate(quotient.coeffs):
         if c < 0:
@@ -184,7 +210,7 @@ def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, 
     for crit in data.criticals:
         character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
         page.append(
-            thom_pair_homology(BundleDescriptor(crit.space, crit.index, character))
+            data._pair_homology(BundleDescriptor(crit.space, crit.index, character))
         )
     return tuple(page)
 
@@ -206,7 +232,7 @@ def e2_consistency(data: MorseBottData, naive: bool = False) -> E2Report:
     euler_sum = sum(profile.euler_characteristic() for profile in page)
     ambient = data.ambient_homology()
     ambient_rank = ambient.total_free_rank()
-    ambient_euler = catalog_complex(data.ambient).euler_characteristic()
+    ambient_euler = ambient.euler_characteristic()  # Euler-Poincare
     return E2Report(
         total_free_rank=total_free,
         ambient_rank=ambient_rank,

@@ -12,7 +12,7 @@ from mbaudit import (
 )
 from mbaudit.document import parse_space
 
-from helpers import FIXTURES, FIXTURE_NAMES
+from helpers import FIXTURES, FIXTURE_NAMES, run_cli
 
 
 def load(name):
@@ -119,9 +119,38 @@ def test_explicit_ambient_inline():
 
 def test_space_tags():
     assert parse_space("rp:5") == RealProjective(5)
-    for bad in ("rp:0", "sphere:-1", "sphere:x", "klein", "rp:"):
+    # str.isdigit accepts non-ASCII digits, which would not round-trip
+    for bad in ("rp:0", "sphere:-1", "sphere:x", "klein", "rp:", "sphere:\u0663", "rp:\uff15"):
         with pytest.raises(DocumentError):
             parse_space(bad)
+    assert run_cli("homology", "sphere:\u0663")[0] == 2
+
+
+def test_matrix_keys_must_be_ascii_digits():
+    doc = json.loads(load("s1-moebius"))
+    doc["morse"]["differentials"]["\u0661"] = doc["morse"]["differentials"].pop("1")
+    with pytest.raises(DocumentError, match="keys"):
+        parse_document(json.dumps(doc))
+
+    doc = json.loads(load("s1-moebius"))
+    (twist,) = doc["morse"]["twists"].values()
+    twist["\u0661"] = twist.pop("1")
+    with pytest.raises(DocumentError, match="keys"):
+        parse_document(json.dumps(doc))
+
+
+def test_huge_json_integer_is_a_document_error(tmp_path):
+    # json.loads raises a plain ValueError for an integer past the
+    # int/str digit limit; without that limit the format check rejects it
+    text = '{"format": 1' + "0" * 5000 + ', "ambient": "point"}'
+    with pytest.raises(DocumentError):
+        parse_document(text)
+    p = tmp_path / "huge.json"
+    p.write_text(text)
+    code, out, err = run_cli("audit", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_inadmissible_character_surfaces_as_its_own_error():

@@ -1,8 +1,11 @@
 import warnings
+from collections import Counter
 from random import Random
 
 import pytest
 
+import mbaudit.bundles
+import mbaudit.morsebott
 from mbaudit import (
     CriticalSubmanifold,
     Explicit,
@@ -19,10 +22,12 @@ from mbaudit import (
     RealProjective,
     Sphere,
     Torus2,
+    catalog_complex,
     check_inequalities,
     divide_by_one_plus_t,
     e2_consistency,
     e2_page,
+    homology,
     mb_polynomial,
 )
 from mbaudit.polyalg import ONE_PLUS_T
@@ -95,6 +100,14 @@ def test_quotient_routes_agree_and_reconstruct():
             assert isinstance(v, FailsNegativeCoefficient)
             assert v.quotient == r
             assert v.degree == min(k for k, c in enumerate(r.coeffs) if c < 0)
+
+
+def test_wrong_quotient_trips_the_reconstruction_check(monkeypatch):
+    monkeypatch.setattr(
+        mbaudit.morsebott, "divide_by_one_plus_t", lambda p: IntPoly([0, 1, -1, 2])
+    )
+    with pytest.raises(AssertionError):
+        check_inequalities(IntPoly([1, 1, 0, 0, 1, 1]), IntPoly([1, 0, 0, 0, 0, 1]))
 
 
 def test_chi_gap_value():
@@ -256,3 +269,65 @@ def test_quotient_reconstruction_on_rp5_local():
     assert v.holds
     assert p + ONE_PLUS_T * v.quotient == mb
     assert divide_by_one_plus_t(mb - p) == v.quotient
+
+
+def test_memoized_homology_matches_a_fresh_computation():
+    pairs = [(Point(), TRIV), (Sphere(1), TW), (Torus2(), TRIV), (Torus2(), TW)]
+    pairs += [(Sphere(n), TRIV) for n in range(1, 13)]
+    pairs += [(RealProjective(n), c) for n in range(1, 31) for c in (TRIV, TW)]
+    data = rp5_data()
+    for space, character in pairs:
+        fresh = homology(catalog_complex(space, character))
+        assert data._homology(space, character) == fresh
+        assert data._homology(space, character) == fresh  # and when read back
+
+
+def test_audit_builds_each_pair_once(monkeypatch):
+    builds = Counter()
+
+    def counting(space, character=TRIV):
+        builds[space, character] += 1
+        return catalog_complex(space, character)
+
+    monkeypatch.setattr(mbaudit.morsebott, "catalog_complex", counting)
+    monkeypatch.setattr(mbaudit.bundles, "catalog_complex", counting)
+    data = rp5_data()
+    # what `mbaudit audit --naive` asks of one document
+    mb_polynomial(data)
+    data.ambient_poincare()
+    e2_page(data)
+    e2_consistency(data)
+    e2_consistency(data, naive=True)
+    assert builds == {
+        (Point(), TRIV): 1,
+        (RealProjective(3), TRIV): 1,
+        (RealProjective(3), TW): 1,
+        (RealProjective(5), TRIV): 1,
+    }
+
+
+def test_audited_data_still_compares_and_hashes_by_value():
+    audited, fresh = rp5_data(), rp5_data()
+    mb_polynomial(audited, "local")
+    e2_consistency(audited, naive=True)
+    assert audited == fresh
+    assert hash(audited) == hash(fresh)
+    assert repr(audited) == repr(fresh)
+
+
+def test_inadmissible_character_raises_on_every_call():
+    data = MorseBottData(
+        Sphere(6),
+        [
+            CriticalSubmanifold(RealProjective(3), 0, TW),
+            CriticalSubmanifold(Point(), 6, TRIV),
+        ],
+    )
+    for _ in range(2):
+        with pytest.raises(InadmissibleCharacterError):
+            e2_page(data)
+        with pytest.raises(InadmissibleCharacterError):
+            e2_consistency(data)
+        with pytest.raises(InadmissibleCharacterError):
+            data._homology(Sphere(2), TW)
+    assert e2_consistency(data, naive=True).ambient_euler == 2  # no twisted rank-0 pair
