@@ -3,8 +3,8 @@
 Exit codes: 0 the audited inequality holds (or the command just
 reports), 1 it fails, 2 malformed input or shapes, 3 inadmissible
 orientation character, 4 a sign twist made the differential stop
-squaring to zero.  Output is deterministic; set MBAUDIT_COLOR=1 for
-ANSI color on the verdict lines.
+squaring to zero, 5 an internal consistency check failed.  Output is
+deterministic; set MBAUDIT_COLOR=1 for ANSI color on the verdict lines.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def _paint(text: str, ok: bool) -> str:
     if os.environ.get("MBAUDIT_COLOR") == "1":
         return f"\x1b[{'32' if ok else '31'}m{text}\x1b[0m"
     return text
+
+
+def _rank_arg(text: str, what: str) -> int:
+    """A nonnegative integer written in ASCII digits, spaces around allowed."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise DocumentError(f"{what} must be an integer, got {text!r}")
+    return int(digits)  # past int()'s digit limit a ValueError, which exits 2 too
 
 
 def _print_table(profile: HomologyProfile, top: int) -> None:
@@ -142,10 +150,7 @@ def cmd_thom(args: argparse.Namespace) -> int:
     if len(parts) != 3:
         raise DocumentError("bundle argument must be base,rank,character")
     base = parse_space(parts[0].strip(), "bundle base")
-    try:
-        rank = int(parts[1])
-    except ValueError:
-        raise DocumentError(f"bundle rank must be an integer, got {parts[1]!r}") from None
+    rank = _rank_arg(parts[1], "bundle rank")
     try:
         character = OrientationCharacter(parts[2].strip())
     except ValueError:
@@ -166,6 +171,7 @@ def cmd_thom(args: argparse.Namespace) -> int:
 
 
 def cmd_morse(args: argparse.Namespace) -> int:
+    rank = 0 if args.stabilize is None else _rank_arg(args.stabilize, "stabilization rank")
     doc = load_document(_resolve_input(args.document))
     if doc.morse is None:
         raise DocumentError("document has no morse section")
@@ -174,7 +180,6 @@ def cmd_morse(args: argparse.Namespace) -> int:
     _print_table(before, doc.morse.max_index)
     if args.stabilize is None and args.twist is None:
         return 0
-    rank = args.stabilize if args.stabilize is not None else 0
     twist = None
     twist_label = "all +1"
     if args.twist is not None:
@@ -233,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("morse", help="homology of a Morse block, optionally stabilized")
     p.add_argument("document", help="path or fixture name")
-    p.add_argument("--stabilize", type=int, metavar="R", help="shift indices up by R")
+    p.add_argument("--stabilize", metavar="R", help="shift indices up by R")
     p.add_argument("--twist", metavar="NAME", help="apply a named sign twist")
     p.set_defaults(handler=cmd_morse)
 
@@ -257,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -81,8 +81,11 @@ def parse_matrix(obj: Any, what: str = "matrix") -> IntegerMatrix:
     entries = m["entries"]
     if not isinstance(entries, list):
         raise DocumentError(f"{what}.entries must be a list")
+    if not {int}.issuperset(map(type, entries)):  # one C-level pass; type(True) is bool
+        for e in entries:
+            _int(e, f"{what} entry")
     try:
-        return IntegerMatrix(rows, cols, [_int(e, f"{what} entry") for e in entries])
+        return IntegerMatrix(rows, cols, entries)
     except ValueError as exc:
         raise DocumentError(f"{what}: {exc}") from exc
 

@@ -14,6 +14,9 @@ one, both read off Smith normal forms.  Everything is exact: matrices
 hold Python ints and the reduction uses only invertible integer row and
 column operations.
 
+A complex checks d∘d = 0 once, when it is built, with a sparse product
+that skips zero entries (boundary matrices are mostly zeros).
+
 The catalog fixes one minimal cellular model per space: a point (one
 cell), spheres (two cells), the 2-torus (four cells), and real
 projective spaces (one cell per degree, boundary degree 1 + (-1)^k).
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Sequence, Union
 
 
@@ -56,9 +60,10 @@ class IntegerMatrix:
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         es = tuple(entries)
-        for e in es:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise TypeError(f"integer entry expected, got {e!r}")
+        if not {int}.issuperset(map(type, es)):  # one C-level pass; type(True) is bool
+            for e in es:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise TypeError(f"integer entry expected, got {e!r}")
         if len(es) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
@@ -107,13 +112,20 @@ class IntegerMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(
-                    sum(self.entry(i, k) * other.entry(k, j) for k in range(self.cols))
-                )
-        return IntegerMatrix(self.rows, other.cols, out)
+        # sparse row product: row i of the result is the sum of a_ik times
+        # row k of other, over the nonzero a_ik and the nonzero entries of
+        # that row; compress() skips the zeros without a Python-level test
+        n, p = self.cols, other.cols
+        a, b = self.entries, other.entries
+        other_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for idx in compress(range(len(b)), b):
+            other_rows[idx // p].append((idx % p, b[idx]))
+        out = [0] * (self.rows * p)
+        for idx in compress(range(len(a)), a):
+            x, base = a[idx], idx // n * p
+            for j, y in other_rows[idx % n]:
+                out[base + j] += x * y
+        return IntegerMatrix(self.rows, p, out)
 
     def entrywise_product(self, other: IntegerMatrix) -> IntegerMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -145,12 +157,20 @@ class SmithNormalForm:
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, nrows: int, ncols: int):
+    """The row-major first entry of least absolute value in the block
+    from (t, t), or None; a unit is least, so the scan stops there."""
     best = None
+    best_abs = 0
     for i in range(t, nrows):
+        row = a[i]
         for j in range(t, ncols):
-            v = a[i][j]
-            if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                best = (i, j)
+            v = row[j]
+            if v:
+                av = abs(v)
+                if av == 1:
+                    return (i, j)
+                if best is None or av < best_abs:
+                    best, best_abs = (i, j), av
     return best
 
 

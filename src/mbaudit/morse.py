@@ -49,6 +49,10 @@ class MorseData:
     The matrix at key k maps index-k generators to index-(k-1)
     generators; its columns follow the order in which index-k generators
     appear in ``generators``, rows likewise for index k-1.
+
+    The chain complex built (and checked for d∘d = 0) on construction is
+    kept in an attribute that is not a dataclass field, so equality,
+    hashing and repr see only the data.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -82,7 +86,7 @@ class MorseData:
             self, "differentials", tuple(sorted(diffs.items()))
         )
         # validates d∘d = 0 (raises ChainComplexError if not)
-        _complex_from_counts(counts, diffs)
+        object.__setattr__(self, "_complex", _complex_from_counts(counts, diffs))
 
     @staticmethod
     def _counts(gens: tuple[tuple[str, int], ...]) -> list[int]:
@@ -100,7 +104,7 @@ class MorseData:
         return dict(self.differentials)
 
     def to_chain_complex(self) -> IntegerChainComplex:
-        return _complex_from_counts(self._counts(self.generators), self.differential_map())
+        return self._complex
 
 
 @dataclass(frozen=True, init=False)

@@ -206,13 +206,15 @@ def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, 
     With ``naive=True`` every orientation character is forced trivial,
     which reproduces the bookkeeping error the local characters fix.
     """
-    page = []
-    for crit in data.criticals:
-        character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
-        page.append(
-            data._pair_homology(BundleDescriptor(crit.space, crit.index, character))
-        )
-    return tuple(page)
+    return tuple(
+        data._pair_homology(_negative_bundle(crit, naive)) for crit in data.criticals
+    )
+
+
+def _negative_bundle(crit: CriticalSubmanifold, naive: bool) -> BundleDescriptor:
+    """The negative bundle of a piece; raises for a twisted rank-0 bundle."""
+    character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
+    return BundleDescriptor(crit.space, crit.index, character)
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,17 @@ class E2Report:
 
 
 def e2_consistency(data: MorseBottData, naive: bool = False) -> E2Report:
-    """Rank and Euler bookkeeping for the page against the ambient space."""
-    page = e2_page(data, naive=naive)
-    total_free = sum(profile.total_free_rank() for profile in page)
-    euler_sum = sum(profile.euler_characteristic() for profile in page)
+    """Rank and Euler bookkeeping for the page against the ambient space.
+
+    A page entry is its base's profile shifted up by the index, so its
+    free rank is the base's and its Euler term is (-1)^index * chi(base).
+    """
+    total_free = euler_sum = 0
+    for crit in data.criticals:
+        bundle = _negative_bundle(crit, naive)
+        base = data._homology(bundle.base, bundle.character)
+        total_free += base.total_free_rank()
+        euler_sum += (-1) ** bundle.rank * base.euler_characteristic()
     ambient = data.ambient_homology()
     ambient_rank = ambient.total_free_rank()
     ambient_euler = ambient.euler_characteristic()  # Euler-Poincare

@@ -239,3 +239,38 @@ def test_console_entry_point_runs():
 def test_usage_error_is_exit_2():
     assert run_cli("audit")[0] == 2
     assert run_cli("nonsense")[0] == 2
+
+
+def test_thom_rank_takes_ascii_digits_only():
+    code, out, _ = run_cli("thom", "point, 3 ,orientable")
+    assert code == 0
+    assert "     3  Z" in out
+    for rank in ("\u0663", "-1", "+3", "3.0", ""):
+        code, out, err = run_cli("thom", f"point,{rank},orientable")
+        assert code == 2, rank
+        assert out == ""
+        assert err == f"error: bundle rank must be an integer, got {rank!r}\n"
+
+
+def test_morse_stabilize_takes_ascii_digits_only():
+    _, plain, _ = run_cli("morse", "s1-moebius", "--stabilize", "1")
+    assert run_cli("morse", "s1-moebius", "--stabilize", " 1 ")[1] == plain
+    for rank in ("\u0661", "-1", "x"):
+        code, out, err = run_cli("morse", "s1-moebius", "--stabilize", rank)
+        assert code == 2, rank
+        assert out == ""
+        assert err == f"error: stabilization rank must be an integer, got {rank!r}\n"
+
+
+def test_internal_check_failure_is_exit_5(monkeypatch):
+    import mbaudit.morsebott
+    from mbaudit import IntPoly
+
+    monkeypatch.setattr(
+        mbaudit.morsebott, "divide_by_one_plus_t", lambda p: IntPoly([0, 1, -1, 2])
+    )
+    code, out, err = run_cli("audit", "rp5-counterexample")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal check failed: (1 + t) * ")
+    assert "Traceback" not in err

@@ -195,3 +195,17 @@ def test_dimension_violations_rejected_at_parse():
     )
     with pytest.raises(ValueError):
         parse_document(text)
+
+
+def test_matrix_entry_errors_name_the_matrix():
+    from mbaudit.document import parse_matrix
+
+    for bad in (True, 0.5, "1", None):
+        obj = {"rows": 1, "cols": 3, "entries": [1, bad, 2]}
+        with pytest.raises(DocumentError) as exc:
+            parse_matrix(obj, "morse.differentials[2]")
+        assert str(exc.value) == "morse.differentials[2] entry must be an integer"
+    good = parse_matrix({"rows": 1, "cols": 2, "entries": [-1, 7]})
+    assert good.entries == (-1, 7)
+    with pytest.raises(DocumentError, match=r"^matrix: expected 3 entries"):
+        parse_matrix({"rows": 1, "cols": 3, "entries": [1, 2]})

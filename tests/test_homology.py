@@ -255,3 +255,61 @@ def test_matrix_basics():
         IntegerMatrix(2, 2, (1, 2, 3))
     with pytest.raises(TypeError):
         IntegerMatrix(1, 1, (0.5,))
+
+
+def dense_product(a, b):
+    """Textbook triple loop, the reference for the sparse product."""
+    return [
+        [sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+
+
+def random_sparse(rng, rows, cols):
+    entries = [
+        rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3 else 0
+        for _ in range(rows * cols)
+    ]
+    if rows and rng.random() < 0.5:  # a zero row
+        i = rng.randrange(rows)
+        entries[i * cols : (i + 1) * cols] = [0] * cols
+    return IntegerMatrix(rows, cols, entries)
+
+
+def test_sparse_product_matches_the_triple_loop():
+    rng = Random(67)
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (4, 1, 4)]
+    shapes += [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(300)]
+    for rows, inner, cols in shapes:
+        a, b = random_sparse(rng, rows, inner), random_sparse(rng, inner, cols)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (rows, cols)
+        assert [list(prod.row(i)) for i in range(rows)] == dense_product(a, b)
+        assert all(type(e) is int for e in prod.entries)
+
+
+def test_matrix_entry_type_errors_name_the_first_bad_entry():
+    for bad in (True, False, 0.5, 1.0, "1"):
+        with pytest.raises(TypeError) as exc:
+            IntegerMatrix(1, 3, (1, bad, 2.5))
+        assert str(exc.value) == f"integer entry expected, got {bad!r}"
+
+
+def test_unit_pivot_stops_the_scan_at_the_first_minimum():
+    from mbaudit.homology import _smallest_nonzero
+
+    def full_scan(a, t):
+        cells = [
+            (abs(a[i][j]), i, j)
+            for i in range(t, len(a))
+            for j in range(t, len(a[0]))
+            if a[i][j]
+        ]
+        return min(cells)[1:] if cells else None
+
+    rng = Random(71)
+    for _ in range(500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_sparse(rng, rows, cols).to_rows()
+        t = rng.randint(0, min(rows, cols) - 1)
+        assert _smallest_nonzero(a, t, rows, cols) == full_scan(a, t)

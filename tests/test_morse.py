@@ -1,3 +1,5 @@
+import json
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -12,6 +14,7 @@ from mbaudit import (
     SignTwist,
     Sphere,
     morse_homology,
+    parse_document,
     stabilize,
     thom_pair_homology,
 )
@@ -168,3 +171,74 @@ def test_stabilize_composition_law():
         combined = SignTwist({1: s1.sign_map()[1].entrywise_product(s2_m)})
         assert twice == stabilize(data, r1 + r2, combined)
     assert d1 == data.differential_map()[1]  # inputs never mutated
+
+
+def test_to_chain_complex_returns_the_complex_checked_on_build():
+    data = circle_wavy()
+    cx = data.to_chain_complex()
+    assert data.to_chain_complex() is cx
+    assert cx.ranks == (2, 2)
+    assert cx.boundaries == (M([[1, -1], [-1, 1]]),)
+
+
+def test_stored_complex_is_not_part_of_the_value():
+    audited, fresh = circle_wavy(), circle_wavy()
+    morse_homology(audited)
+    assert [f.name for f in fields(MorseData)] == ["generators", "differentials"]
+    assert audited == fresh
+    assert hash(audited) == hash(fresh) == hash((fresh.generators, fresh.differentials))
+    assert repr(audited) == repr(fresh) == (
+        "MorseData(generators=(('min-a', 0), ('min-b', 0), ('max-a', 1), ('max-b', 1)), "
+        "differentials=((1, IntegerMatrix(rows=2, cols=2, entries=(1, -1, -1, 1))),))"
+    )
+
+
+def _matrix_json(rows):
+    return {"rows": len(rows), "cols": len(rows[0]), "entries": [e for r in rows for e in r]}
+
+
+# degrees 0..4 with ranks 1, 2, 2, 2, 1; every composite d_k d_{k+1} is zero
+DD_ZERO = {
+    1: [[0, 0]],
+    2: [[1, -1], [1, -1]],
+    3: [[1, 2], [1, 2]],
+    4: [[2], [-1]],
+}
+
+
+@pytest.mark.parametrize("rank", [0, 2])
+def test_each_complex_is_checked_once(monkeypatch, rank):
+    ranks = [1, 2, 2, 2, 1]
+    top = len(ranks) - 1
+    doc = {
+        "format": 1,
+        "ambient": {
+            "ranks": ranks,
+            "boundaries": [_matrix_json(DD_ZERO[k]) for k in range(1, top + 1)],
+        },
+        "morse": {
+            "generators": [
+                {"label": f"g{k}.{i}", "index": k}
+                for k in range(top + 1)
+                for i in range(ranks[k])
+            ],
+            "differentials": {str(k): _matrix_json(d) for k, d in DD_ZERO.items()},
+        },
+    }
+    products = []
+    original = IntegerMatrix.__matmul__
+
+    def counting(self, other):
+        products.append((self.rows, self.cols, other.cols))
+        return original(self, other)
+
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", counting)
+    parsed = parse_document(json.dumps(doc))
+    before = morse_homology(parsed.morse)
+    stabilized = stabilize(parsed.morse, rank)
+    after = morse_homology(stabilized)
+    assert after == before.shifted(rank)
+    # one product per consecutive pair of degrees per complex: ambient and
+    # Morse block have top degree `top`, the stabilized block `top + rank`;
+    # taking a Morse block's homology checks nothing again
+    assert len(products) == 2 * (top - 1) + (top + rank - 1)

@@ -32,7 +32,7 @@ from mbaudit import (
 )
 from mbaudit.polyalg import ONE_PLUS_T
 
-from helpers import random_poly
+from helpers import FIXTURES, FIXTURE_NAMES, random_poly
 
 TRIV = OrientationCharacter.TRIVIAL
 TW = OrientationCharacter.NONTRIVIAL
@@ -331,3 +331,23 @@ def test_inadmissible_character_raises_on_every_call():
         with pytest.raises(InadmissibleCharacterError):
             data._homology(Sphere(2), TW)
     assert e2_consistency(data, naive=True).ambient_euler == 2  # no twisted rank-0 pair
+
+
+def test_e2_consistency_equals_the_page_sums_on_every_fixture():
+    from mbaudit import load_document
+    from mbaudit.morsebott import MODES
+
+    for name in FIXTURE_NAMES:
+        for mode in MODES:
+            # a fresh document per mode, audited first in that mode, so the
+            # memo holds different profiles when the report is taken
+            data = load_document(FIXTURES / f"{name}.json").morse_bott()
+            mb_polynomial(data, mode)
+            for naive in (False, True):
+                page = e2_page(data, naive=naive)
+                report = e2_consistency(data, naive=naive)
+                assert report.total_free_rank == sum(p.total_free_rank() for p in page)
+                assert report.euler_sum == sum(p.euler_characteristic() for p in page)
+                ambient = data.ambient_homology()
+                assert report.ambient_rank == ambient.total_free_rank()
+                assert report.ambient_euler == ambient.euler_characteristic()
