@@ -196,6 +196,18 @@ def test_fixtures_list():
         assert expected in names
 
 
+def test_cli_golden_replay():
+    # stdout and exit code of 143 invocations, recorded byte for byte:
+    # audit, morse, homology and thom over the fixtures and catalog spaces
+    golden = json.loads((REPO / "tests" / "cli_golden.json").read_text())
+    mismatched = [
+        case["argv"]
+        for case in golden
+        if run_cli(*case["argv"])[:2] != (case["code"], case["stdout"])
+    ]
+    assert mismatched == []
+
+
 def test_reports_are_deterministic():
     for argv in (
         ("audit", "rp5-counterexample", "--mode", "untwisted", "--naive"),
