@@ -13,19 +13,17 @@ from mbaudit import (
     Sphere,
     catalog_complex,
     homology,
+    space_dim,
     thom_iso_check,
-    thom_pair_homology,
 )
 
 
 def show(bundle: BundleDescriptor) -> None:
-    profile = thom_pair_homology(bundle)
+    report = thom_iso_check(bundle)
     kind = "cylinder" if bundle.character is OrientationCharacter.TRIVIAL else "Moebius band"
     print(f"\n{kind} over the circle (rank {bundle.rank}, {bundle.character.value}):")
-    top = bundle.rank + catalog_complex(bundle.base).top_degree
-    for k in range(top + 1):
-        print(f"  H_{k}(disc bundle, sphere bundle) = {profile.group(k)}")
-    report = thom_iso_check(bundle)
+    for k in range(bundle.rank + space_dim(bundle.base) + 1):
+        print(f"  H_{k}(disc bundle, sphere bundle) = {report.pair.group(k)}")
     print(f"  shift of base homology: {'reproduced' if report.holds else 'NOT reproduced'}")
 
 

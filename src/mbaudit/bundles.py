@@ -11,7 +11,7 @@ RP^2, the tautological pair over RP^3 matches reduced RP^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .homology import (
     HomologyProfile,
@@ -65,7 +65,5 @@ class ThomIsoReport:
 
 def thom_iso_check(bundle: BundleDescriptor) -> ThomIsoReport:
     pair = thom_pair_homology(bundle)
-    plain = homology(
-        catalog_complex(bundle.base, OrientationCharacter.TRIVIAL)
-    ).shifted(bundle.rank)
+    plain = thom_pair_homology(replace(bundle, character=OrientationCharacter.TRIVIAL))
     return ThomIsoReport(pair == plain, pair, plain)

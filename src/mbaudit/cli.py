@@ -15,13 +15,14 @@ import sys
 from pathlib import Path
 
 from .bundles import BundleDescriptor, thom_iso_check, thom_pair_homology
-from .document import AuditDocument, DocumentError, load_document, parse_space
+from .document import DocumentError, load_document, parse_character, parse_degree, parse_space
 from .homology import (
     HomologyProfile,
     InadmissibleCharacterError,
     OrientationCharacter,
     catalog_complex,
     homology,
+    space_dim,
     space_tag,
 )
 from .morse import InconsistentTwistError, morse_homology, stabilize
@@ -61,11 +62,12 @@ def _paint(text: str, ok: bool) -> str:
 
 
 def _rank_arg(text: str, what: str) -> int:
-    """A nonnegative integer written in ASCII digits, spaces around allowed."""
+    """A degree written in ASCII digits, spaces around allowed."""
     digits = text.strip()
     if not (digits.isascii() and digits.isdigit()):
         raise DocumentError(f"{what} must be an integer, got {text!r}")
-    return int(digits)  # past int()'s digit limit a ValueError, which exits 2 too
+    # past int()'s digit limit a ValueError, which exits 2 too
+    return parse_degree(int(digits), what)
 
 
 def _print_table(profile: HomologyProfile, top: int) -> None:
@@ -151,21 +153,13 @@ def cmd_thom(args: argparse.Namespace) -> int:
         raise DocumentError("bundle argument must be base,rank,character")
     base = parse_space(parts[0].strip(), "bundle base")
     rank = _rank_arg(parts[1], "bundle rank")
-    try:
-        character = OrientationCharacter(parts[2].strip())
-    except ValueError:
-        raise DocumentError(
-            f"bundle character must be 'orientable' or 'twisted', got {parts[2]!r}"
-        ) from None
-    bundle = BundleDescriptor(base, rank, character)
-    profile = thom_pair_homology(bundle)
-    top = rank + catalog_complex(base).top_degree
+    character = parse_character(parts[2].strip(), "bundle character")
+    report = thom_iso_check(BundleDescriptor(base, rank, character))
     print(
         f"H_*(disc bundle, sphere bundle; Z) for base {space_tag(base)}, "
         f"rank {rank}, {character.value}"
     )
-    _print_table(profile, top)
-    report = thom_iso_check(bundle)
+    _print_table(report.pair, rank + space_dim(base))
     print(_paint(f"THOM ISO: {'holds' if report.holds else 'fails'}", report.holds))
     return 0
 

@@ -31,6 +31,9 @@ from .morse import MorseData, SignTwist
 from .morsebott import CriticalSubmanifold, MorseBottData
 
 FORMAT_VERSION = 1
+# the largest dimension, index or rank a document or a command line may
+# ask for; a degree sizes the lists built for it
+MAX_DEGREE = 10_000
 
 
 class DocumentError(ValueError):
@@ -73,6 +76,13 @@ def _int(obj: Any, what: str) -> int:
     return obj
 
 
+def parse_degree(obj: Any, what: str) -> int:
+    n = _int(obj, what)
+    if n > MAX_DEGREE:
+        raise DocumentError(f"{what} must be at most {MAX_DEGREE}, got {n}")
+    return n
+
+
 def parse_matrix(obj: Any, what: str = "matrix") -> IntegerMatrix:
     m = _require_mapping(obj, what)
     _check_keys(m, what, {"rows", "cols", "entries"})
@@ -99,7 +109,8 @@ def parse_space(obj: Any, what: str = "space") -> Space:
         kind, sep, arg = obj.partition(":")
         if sep and arg.isascii() and arg.isdigit() and kind in ("sphere", "rp"):
             try:
-                return Sphere(int(arg)) if kind == "sphere" else RealProjective(int(arg))
+                n = parse_degree(int(arg), "dimension")
+                return Sphere(n) if kind == "sphere" else RealProjective(n)
             except ValueError as exc:
                 raise DocumentError(f"{what}: {exc}") from exc
         raise DocumentError(f"{what}: unknown space tag {obj!r}")
@@ -144,7 +155,7 @@ def _parse_morse(obj: Any) -> tuple[MorseData, dict[str, SignTwist]]:
         _check_keys(gm, "generator", {"label", "index"})
         if not isinstance(gm["label"], str):
             raise DocumentError("generator label must be a string")
-        generators.append((gm["label"], _int(gm["index"], "generator index")))
+        generators.append((gm["label"], parse_degree(gm["index"], "generator index")))
     differentials = _parse_indexed_matrices(m.get("differentials", {}), "morse.differentials")
     data = MorseData(generators, differentials)
     twists: dict[str, SignTwist] = {}
@@ -177,7 +188,7 @@ def parse_document(text: str) -> AuditDocument:
             crits.append(
                 CriticalSubmanifold(
                     parse_space(cm["space"], "critical space"),
-                    _int(cm["index"], "critical index"),
+                    parse_degree(cm["index"], "critical index"),
                     parse_character(cm["negative_character"], "negative_character"),
                 )
             )
@@ -194,7 +205,7 @@ def parse_document(text: str) -> AuditDocument:
         _check_keys(bm, "bundle", {"base", "rank", "character"})
         bundle = BundleDescriptor(
             parse_space(bm["base"], "bundle base"),
-            _int(bm["rank"], "bundle rank"),
+            parse_degree(bm["rank"], "bundle rank"),
             parse_character(bm["character"], "bundle character"),
         )
 

@@ -15,9 +15,11 @@ how that fails when it does.
 The quotient comes from synthetic division and is checked by multiplying
 back, (1 + t) * Q == MB - P; the check is kept even in production.
 
-Each :class:`MorseBottData` computes the homology of a (space,
-character) pair, and the pair homology of a negative bundle, at most
-once, and keeps them for the audits that follow.
+MB is the sum of the Poincare polynomials of the E2 page, the pair
+homology of each piece's negative bundle (the naive page, every character
+trivial, in ``untwisted`` mode), and the page's rank and Euler report is
+read off MB and P.  Each :class:`MorseBottData` keeps one memo table, the
+homology of each (space, character) pair.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .homology import (
     Space,
     catalog_complex,
     homology,
-    require_admissible,
     space_dim,
     space_tag,
 )
@@ -46,7 +47,8 @@ MODES = ("untwisted", "local")
 @dataclass(frozen=True)
 class CriticalSubmanifold:
     """A connected catalog space sitting at a given index, together with
-    the orientation character of its negative normal bundle."""
+    the orientation character of its negative normal bundle, which is
+    built to validate the piece: a twisted piece at index 0 is refused."""
 
     space: Space
     index: int
@@ -57,15 +59,15 @@ class CriticalSubmanifold:
             raise ValueError("critical submanifolds must be connected catalog spaces")
         if self.index < 0:
             raise ValueError("critical index must be nonnegative")
-        require_admissible(self.space, self.negative_character)
+        BundleDescriptor(self.space, self.index, self.negative_character)
 
 
 @dataclass(frozen=True, init=False)
 class MorseBottData:
     """Ambient space plus critical submanifolds in filtration order.
 
-    Homology profiles are memoized per object in tables that are not
-    dataclass fields, so equality, hashing and repr see only the data.
+    Homology profiles are memoized per object in a table that is not a
+    dataclass field, so equality, hashing and repr see only the data.
     """
 
     ambient: Space
@@ -99,7 +101,6 @@ class MorseBottData:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "criticals", crits)
         object.__setattr__(self, "_profiles", {})
-        object.__setattr__(self, "_pairs", {})
 
     def _homology(
         self,
@@ -114,16 +115,6 @@ class MorseBottData:
             self._profiles[key] = profile
         return profile
 
-    def _pair_homology(self, bundle: BundleDescriptor) -> HomologyProfile:
-        """Disc/sphere pair homology of a negative bundle."""
-        pair = self._pairs.get(bundle)
-        if pair is None:
-            pair = thom_pair_homology(
-                bundle, self._homology(bundle.base, bundle.character)
-            )
-            self._pairs[bundle] = pair
-        return pair
-
     def ambient_homology(self) -> HomologyProfile:
         return self._homology(self.ambient)
 
@@ -137,7 +128,8 @@ def _check_mode(mode: str) -> None:
 
 
 def mb_polynomial(data: MorseBottData, mode: str = "untwisted") -> IntPoly:
-    """The counting polynomial of the critical submanifolds."""
+    """The counting polynomial: the sum of the Poincare polynomials of the
+    E2 page, taken over the naive page in ``untwisted`` mode."""
     _check_mode(mode)
     coeffs: list[int] = []
     for crit in data.criticals:
@@ -206,15 +198,12 @@ def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, 
     With ``naive=True`` every orientation character is forced trivial,
     which reproduces the bookkeeping error the local characters fix.
     """
-    return tuple(
-        data._pair_homology(_negative_bundle(crit, naive)) for crit in data.criticals
-    )
-
-
-def _negative_bundle(crit: CriticalSubmanifold, naive: bool) -> BundleDescriptor:
-    """The negative bundle of a piece; raises for a twisted rank-0 bundle."""
-    character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
-    return BundleDescriptor(crit.space, crit.index, character)
+    page = []
+    for crit in data.criticals:
+        character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
+        b = BundleDescriptor(crit.space, crit.index, character)
+        page.append(thom_pair_homology(b, data._homology(b.base, b.character)))
+    return tuple(page)
 
 
 @dataclass(frozen=True)
@@ -230,18 +219,13 @@ class E2Report:
 def e2_consistency(data: MorseBottData, naive: bool = False) -> E2Report:
     """Rank and Euler bookkeeping for the page against the ambient space.
 
-    A page entry is its base's profile shifted up by the index, so its
-    free rank is the base's and its Euler term is (-1)^index * chi(base).
+    MB is the page's Poincare polynomial, so the page's total free rank
+    is MB(1) and its Euler sum MB(-1); the ambient's are P(1) and P(-1).
     """
-    total_free = euler_sum = 0
-    for crit in data.criticals:
-        bundle = _negative_bundle(crit, naive)
-        base = data._homology(bundle.base, bundle.character)
-        total_free += base.total_free_rank()
-        euler_sum += (-1) ** bundle.rank * base.euler_characteristic()
-    ambient = data.ambient_homology()
-    ambient_rank = ambient.total_free_rank()
-    ambient_euler = ambient.euler_characteristic()  # Euler-Poincare
+    mb = mb_polynomial(data, "untwisted" if naive else "local")
+    p = data.ambient_poincare()
+    total_free, euler_sum = mb.evaluate(1), mb.evaluate(-1)
+    ambient_rank, ambient_euler = p.evaluate(1), p.evaluate(-1)
     return E2Report(
         total_free_rank=total_free,
         ambient_rank=ambient_rank,

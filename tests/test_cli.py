@@ -286,3 +286,19 @@ def test_internal_check_failure_is_exit_5(monkeypatch):
     assert out == ""
     assert err.startswith("error: internal check failed: (1 + t) * ")
     assert "Traceback" not in err
+
+
+def test_degree_limit_exits_2():
+    huge = "1" + "0" * 30
+    assert run_cli("thom", f"point,{huge},orientable") == (
+        2, "", f"error: bundle rank must be at most 10000, got {huge}\n"
+    )
+    assert run_cli("morse", "s1-moebius", "--stabilize", "10001") == (
+        2, "", "error: stabilization rank must be at most 10000, got 10001\n"
+    )
+    assert run_cli("homology", "sphere:10001") == (
+        2, "", "error: space: dimension must be at most 10000, got 10001\n"
+    )
+    code, out, _ = run_cli("thom", "point,10000,orientable")
+    assert code == 0
+    assert out.endswith(" 10000  Z\nTHOM ISO: holds\n")

@@ -10,7 +10,7 @@ from mbaudit import (
     parse_document,
     serialize_document,
 )
-from mbaudit.document import parse_space
+from mbaudit.document import MAX_DEGREE, parse_space
 
 from helpers import FIXTURES, FIXTURE_NAMES, run_cli
 
@@ -209,3 +209,24 @@ def test_matrix_entry_errors_name_the_matrix():
     assert good.entries == (-1, 7)
     with pytest.raises(DocumentError, match=r"^matrix: expected 3 entries"):
         parse_matrix({"rows": 1, "cols": 3, "entries": [1, 2]})
+
+
+def test_degrees_are_bounded():
+    assert parse_space(f"rp:{MAX_DEGREE}") == RealProjective(MAX_DEGREE)
+    for bad in (f"sphere:{MAX_DEGREE + 1}", f"rp:{MAX_DEGREE + 1}", "rp:" + "9" * 30):
+        with pytest.raises(DocumentError, match=f"dimension must be at most {MAX_DEGREE}"):
+            parse_space(bad)
+
+    point = {"ranks": [1], "boundaries": []}
+    crit = {"space": "point", "index": 0, "negative_character": "orientable"}
+    over = MAX_DEGREE + 1
+    for what, doc in [
+        ("critical index", {"ambient": point, "criticals": [crit, dict(crit, index=over)]}),
+        ("bundle rank", {"ambient": point,
+                         "bundle": {"base": "point", "rank": over, "character": "orientable"}}),
+        ("generator index", {"ambient": point,
+                             "morse": {"generators": [{"label": "a", "index": over}]}}),
+    ]:
+        with pytest.raises(DocumentError) as exc:
+            parse_document(json.dumps(dict(doc, format=1)))
+        assert str(exc.value) == f"{what} must be at most {MAX_DEGREE}, got {over}"

@@ -1,3 +1,4 @@
+import json
 import warnings
 from collections import Counter
 from random import Random
@@ -29,10 +30,15 @@ from mbaudit import (
     e2_page,
     homology,
     mb_polynomial,
+    parse_document,
+    space_dim,
 )
+from mbaudit.document import parse_space
+from mbaudit.homology import admits_nontrivial_character
+from mbaudit.morsebott import MODES
 from mbaudit.polyalg import ONE_PLUS_T
 
-from helpers import FIXTURES, FIXTURE_NAMES, random_poly
+from helpers import FIXTURES, FIXTURE_NAMES, random_poly, run_cli
 
 TRIV = OrientationCharacter.TRIVIAL
 TW = OrientationCharacter.NONTRIVIAL
@@ -130,12 +136,56 @@ def test_e2_page_rp5():
     assert page[2].free_rank(5) == 1
 
 
+def random_catalog_document(rng):
+    """A valid document: a catalog ambient with its minimum and maximum,
+    plus up to five pieces, twisted at random where the space and the
+    index allow it."""
+    n = rng.randint(1, 9)
+    ambient = rng.choice([f"sphere:{n}", f"rp:{n}", "torus2"])
+    top = 2 if ambient == "torus2" else n
+    crits = [("point", 0, False), ("point", top, False)]
+    for _ in range(rng.randint(0, 5)):
+        tag = rng.choice(["point", "sphere:1", "sphere:2", "rp:1", "rp:2", "rp:3", "torus2"])
+        space = parse_space(tag)
+        if space_dim(space) > top:
+            continue
+        index = rng.randint(0, top - space_dim(space))
+        twistable = index > 0 and admits_nontrivial_character(space)
+        crits.append((tag, index, twistable and rng.random() < 0.5))
+    rng.shuffle(crits)
+    return {
+        "format": 1,
+        "ambient": ambient,
+        "criticals": [
+            {"space": t, "index": k, "negative_character": "twisted" if tw else "orientable"}
+            for t, k, tw in crits
+        ],
+    }
+
+
 def test_e2_page_poincare_sums_to_local_mb():
-    data = rp5_data()
-    total = IntPoly()
-    for profile in e2_page(data):
-        total = total + profile.poincare_polynomial()
-    assert total == mb_polynomial(data, "local")
+    rng = Random(61)
+    documents = [rp5_data()]
+    documents += [
+        parse_document(json.dumps(random_catalog_document(rng))).morse_bott()
+        for _ in range(200)
+    ]
+    for data in documents:
+        ambient = data.ambient_homology()
+        for mode in MODES:
+            naive = mode == "untwisted"
+            page = e2_page(data, naive=naive)
+            total = IntPoly()
+            for profile in page:
+                total = total + profile.poincare_polynomial()
+            assert mb_polynomial(data, mode) == total
+            report = e2_consistency(data, naive=naive)
+            assert report.total_free_rank == sum(p.total_free_rank() for p in page)
+            assert report.euler_sum == sum(p.euler_characteristic() for p in page)
+            assert report.ambient_rank == ambient.total_free_rank()
+            assert report.ambient_euler == ambient.euler_characteristic()
+            assert report.rank_bound_ok == (report.total_free_rank >= report.ambient_rank)
+            assert report.euler_ok == (report.euler_sum == report.ambient_euler)
 
 
 def test_e2_consistency_rp5_and_naive():
@@ -172,21 +222,27 @@ def test_validation_rejects_explicit_criticals():
         CriticalSubmanifold(Point(), 0, TW)
 
 
-def test_index_zero_twisted_critical_breaks_only_the_page():
-    # The character is admissible for the space, so the counting
-    # polynomial is fine in both modes; but its negative bundle has
-    # rank 0, so building the page's disc/sphere pair must refuse.
-    data = MorseBottData(
-        Sphere(6),
-        [
-            CriticalSubmanifold(RealProjective(3), 0, TW),
-            CriticalSubmanifold(Point(), 6, TRIV),
-        ],
-    )
-    assert mb_polynomial(data, "untwisted") == IntPoly([1, 0, 0, 1, 0, 0, 1])
-    assert mb_polynomial(data, "local") == IntPoly.term(6, 1)
+def test_index_zero_twisted_critical_is_refused_when_built(tmp_path):
+    # The character is admissible for the space, but the piece's negative
+    # bundle has rank 0 and no orientation to twist, so the piece itself
+    # is refused: no audit starts and nothing reaches stdout.
     with pytest.raises(InadmissibleCharacterError):
-        e2_page(data)
+        CriticalSubmanifold(RealProjective(3), 0, TW)
+    doc = {
+        "format": 1,
+        "ambient": "sphere:6",
+        "criticals": [
+            {"space": "rp:3", "index": 0, "negative_character": "twisted"},
+            {"space": "point", "index": 6, "negative_character": "orientable"},
+        ],
+    }
+    with pytest.raises(InadmissibleCharacterError):
+        parse_document(json.dumps(doc))
+    path = tmp_path / "twisted-minimum.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("audit", str(path)) == (
+        3, "", "error: a rank-0 bundle has no orientation to twist\n"
+    )
 
 
 def test_validation_dimension_bound():
@@ -318,19 +374,14 @@ def test_audited_data_still_compares_and_hashes_by_value():
 def test_inadmissible_character_raises_on_every_call():
     data = MorseBottData(
         Sphere(6),
-        [
-            CriticalSubmanifold(RealProjective(3), 0, TW),
-            CriticalSubmanifold(Point(), 6, TRIV),
-        ],
+        [CriticalSubmanifold(Point(), 0, TRIV), CriticalSubmanifold(Point(), 6, TRIV)],
     )
     for _ in range(2):
         with pytest.raises(InadmissibleCharacterError):
-            e2_page(data)
-        with pytest.raises(InadmissibleCharacterError):
-            e2_consistency(data)
+            CriticalSubmanifold(RealProjective(3), 0, TW)
         with pytest.raises(InadmissibleCharacterError):
             data._homology(Sphere(2), TW)
-    assert e2_consistency(data, naive=True).ambient_euler == 2  # no twisted rank-0 pair
+    assert e2_consistency(data).ambient_euler == 2  # the memo kept no failure
 
 
 def test_e2_consistency_equals_the_page_sums_on_every_fixture():
