@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -81,6 +83,45 @@ def rank_mod2(m: IntegerMatrix) -> int:
                 rows[r] = [(a + b) % 2 for a, b in zip(rows[r], lead)]
         rank += 1
     return rank
+
+
+def determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square matrix by Bareiss fraction-free elimination;
+    every division is exact, so entries stay integers."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def invariant_factors_by_minors(m: IntegerMatrix) -> tuple[int, ...]:
+    """Invariant factors as quotients of determinantal divisors: d_k is the
+    gcd of the k x k minors and the k-th factor is d_k / d_(k-1).  The
+    number of minors grows fast, so this is for small matrices only."""
+    rows = m.to_rows()
+    factors: list[int] = []
+    prev = 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        d = 0
+        for rs in combinations(range(m.rows), k):
+            for cs in combinations(range(m.cols), k):
+                d = gcd(d, determinant([[rows[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
 
 
 def oracle_free_and_even(cx: IntegerChainComplex) -> tuple[list[int], list[int]]:
@@ -203,6 +244,13 @@ def random_complex(rng: Random, max_rank: int = 8) -> tuple[IntegerChainComplex,
         for k in range(ndeg)
     )
     return cx, expected
+
+
+def growth_block(rng: Random, n: int) -> list[int]:
+    """The entries of an n x n block at 20% density with entries in
+    [-3, 3], drawn as the benchmark's explicit-complexes workload draws
+    its SNF growth blocks."""
+    return [rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.2 else 0 for _ in range(n * n)]
 
 
 def random_poly(rng: Random, max_degree: int = 6, lo: int = -4, hi: int = 6) -> IntPoly:

@@ -1,3 +1,5 @@
+import importlib
+import math
 from random import Random
 
 import pytest
@@ -23,7 +25,15 @@ from mbaudit import (
     space_tag,
 )
 
-from helpers import assert_profile_matches_oracle, random_complex
+from helpers import (
+    assert_profile_matches_oracle,
+    determinant,
+    growth_block,
+    invariant_factors_by_minors,
+    random_complex,
+    rank_mod2,
+    rank_over_rationals,
+)
 
 TRIV = OrientationCharacter.TRIVIAL
 TW = OrientationCharacter.NONTRIVIAL
@@ -56,6 +66,10 @@ def test_snf_empty_shapes():
     assert smith_normal_form(IntegerMatrix.zeros(0, 3)).factors == ()
     assert smith_normal_form(IntegerMatrix.zeros(3, 0)).factors == ()
     assert smith_normal_form(IntegerMatrix.zeros(0, 0)).rank == 0
+    for rows in range(6):
+        for cols in range(6):
+            snf = smith_normal_form(IntegerMatrix.zeros(rows, cols))
+            assert (snf.factors, snf.rank) == ((), 0)
 
 
 def test_snf_needs_the_divisibility_fix():
@@ -74,41 +88,129 @@ def test_snf_transpose_invariance_random():
         assert smith_normal_form(m).factors == smith_normal_form(m.transpose()).factors
 
 
-def test_snf_agrees_with_determinant_divisors_3x3():
-    # d1 = gcd of entries, d1*d2 = gcd of 2x2 minors, d1*d2*d3 = |det|
-    import itertools
-    import math
-
+def test_snf_agrees_with_determinantal_divisors_up_to_4x4():
+    # the k-th factor is d_k / d_(k-1), d_k the gcd of the k x k minors;
+    # on 3x3 matrices the product of the factors is also checked against
+    # the cofactor expansion of the determinant
     rng = Random(29)
     for _ in range(120):
         rows = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
-        m = M(rows)
-        entries_gcd = math.gcd(*(abs(e) for e in m.entries))
-        minors = []
-        for rs in itertools.combinations(range(3), 2):
-            for cs in itertools.combinations(range(3), 2):
-                a, b = rs
-                c, d = cs
-                minors.append(rows[a][c] * rows[b][d] - rows[a][d] * rows[b][c])
-        minors_gcd = math.gcd(*(abs(x) for x in minors))
         det = (
             rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
         )
+        factors = smith_normal_form(M(rows)).factors
+        assert factors == invariant_factors_by_minors(M(rows))
+        assert (math.prod(factors) if len(factors) == 3 else 0) == abs(det)
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        m = IntegerMatrix(nrows, ncols, [rng.randint(-6, 6) for _ in range(nrows * ncols)])
+        assert smith_normal_form(m).factors == invariant_factors_by_minors(m)
+
+
+def assert_snf_passes_independent_checks(m):
+    snf = smith_normal_form(m)
+    factors = snf.factors
+    assert snf.rank == len(factors) == rank_over_rationals(m)
+    assert sum(f % 2 for f in factors) == rank_mod2(m)
+    assert all(f > 0 for f in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert smith_normal_form(m.transpose()).factors == factors
+    if m.rows == m.cols == len(factors):
+        assert math.prod(factors) == abs(determinant(m.to_rows()))
+
+
+def test_snf_independent_checks_on_sparse_matrices():
+    rng = Random(43)
+    shapes = [(n, n) for n in range(1, 13)] + [(12, 14), (14, 12)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 14)) for _ in range(150)]
+    for rows, cols in shapes:
+        density = rng.choice((0.15, 0.3, 0.6))
+        values = rng.choice(((-1, 1), (-3, -2, -1, 1, 2, 3), (-6, -4, -2, 2, 3, 9)))
+        entries = [rng.choice(values) if rng.random() < density else 0 for _ in range(rows * cols)]
+        assert_snf_passes_independent_checks(IntegerMatrix(rows, cols, entries))
+
+
+def test_snf_independent_checks_on_growth_blocks():
+    rng = Random(47)
+    full_rank = 0
+    for _ in range(25):
+        n = rng.randint(20, 32)
+        m = IntegerMatrix(n, n, growth_block(rng, n))
+        assert_snf_passes_independent_checks(m)
+        full_rank += smith_normal_form(m).rank == n
+    assert full_rank  # the determinant check ran
+
+
+def dense_phase_inputs(monkeypatch):
+    """Record the shape of every block handed to the dense phase."""
+    # `import mbaudit.homology as m` gives the function, not the module
+    chains = importlib.import_module("mbaudit.homology")
+    seen = []
+    dense = chains._dense_factors
+
+    def spy(a):
+        seen.append((len(a), len(a[0])))
+        return dense(a)
+
+    monkeypatch.setattr(chains, "_dense_factors", spy)
+    return seen
+
+
+def test_snf_of_signed_permutations_is_all_units(monkeypatch):
+    seen = dense_phase_inputs(monkeypatch)
+    rng = Random(53)
+    for n in range(1, 10):
+        for signed in (False, True):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            entries = [0] * (n * n)
+            for i, j in enumerate(perm):
+                entries[i * n + j] = rng.choice((-1, 1)) if signed else 1
+            assert smith_normal_form(IntegerMatrix(n, n, entries)).factors == (1,) * n
+    assert seen == []
+
+
+def test_snf_single_unit_in_the_last_row_or_column():
+    rng = Random(59)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        entries = [rng.choice((0, 2, -2, 3, -4, 6)) for _ in range(rows * cols)]
+        if rng.random() < 0.5:
+            idx = (rows - 1) * cols + rng.randrange(cols)  # last row
+        else:
+            idx = rng.randrange(rows) * cols + cols - 1  # last column
+        entries[idx] = rng.choice((-1, 1))
+        m = IntegerMatrix(rows, cols, entries)
         factors = smith_normal_form(m).factors
-        if entries_gcd == 0:
-            assert factors == ()
-            continue
-        assert factors[0] == entries_gcd
-        if len(factors) >= 2:
-            assert factors[0] * factors[1] == minors_gcd
-        else:
-            assert minors_gcd == 0
-        if len(factors) == 3:
-            assert factors[0] * factors[1] * factors[2] == abs(det)
-        else:
-            assert det == 0
+        assert factors[0] == 1
+        assert factors == invariant_factors_by_minors(m)
+
+
+def test_snf_without_units_is_all_dense(monkeypatch):
+    seen = dense_phase_inputs(monkeypatch)
+    rng = Random(61)
+    for _ in range(200):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        entries = [rng.choice((2, -2, 3, -3, 4, -6)) for _ in range(rows * cols)]
+        m = IntegerMatrix(rows, cols, entries)
+        assert smith_normal_form(m).factors == invariant_factors_by_minors(m)
+        assert seen.pop() == (rows, cols)
+    assert smith_normal_form(M([[2, 0], [0, 3]])).factors == (1, 6)
+    assert seen == [(2, 2)]
+
+
+def test_snf_of_one_row_or_column_is_the_gcd():
+    rng = Random(67)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        entries = [rng.choice((0, 0, -1, 2, -4, 6, -9, 12)) for _ in range(n)]
+        expected = (math.gcd(*entries),) if any(entries) else ()
+        assert smith_normal_form(IntegerMatrix(1, n, entries)).factors == expected
+        assert smith_normal_form(IntegerMatrix(n, 1, entries)).factors == expected
+    assert smith_normal_form(M([[0, -6, 0, -4]])).factors == (2,)
+    assert smith_normal_form(M([[-3], [0], [-3]])).factors == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +227,29 @@ def test_complex_validates_shapes():
 def test_complex_rejects_dd_nonzero():
     with pytest.raises(ChainComplexError):
         IntegerChainComplex((1, 1, 1), (M([[1]]), M([[1]])))
+
+
+def test_catalog_models_need_a_product_only_for_the_twisted_torus(monkeypatch):
+    # every other catalog model has a zero boundary in each consecutive
+    # pair, so d∘d = 0 holds without a product
+    products = []
+    matmul = IntegerMatrix.__matmul__
+
+    def counting(a, b):
+        products.append((a.rows, a.cols, b.cols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntegerMatrix, "__matmul__", counting)
+    for n in range(1, 9):
+        catalog_complex(RealProjective(n), TRIV)
+        catalog_complex(RealProjective(n), TW)
+    for n in range(1, 5):
+        catalog_complex(Sphere(n), TRIV)
+    catalog_complex(Sphere(1), TW)
+    catalog_complex(Torus2(), TRIV)
+    assert products == []
+    catalog_complex(Torus2(), TW)
+    assert products == [(1, 2, 1)]
 
 
 def test_homology_of_projective_space_models():

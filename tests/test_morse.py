@@ -238,7 +238,9 @@ def test_each_complex_is_checked_once(monkeypatch, rank):
     stabilized = stabilize(parsed.morse, rank)
     after = morse_homology(stabilized)
     assert after == before.shifted(rank)
-    # one product per consecutive pair of degrees per complex: ambient and
-    # Morse block have top degree `top`, the stabilized block `top + rank`;
-    # taking a Morse block's homology checks nothing again
-    assert len(products) == 2 * (top - 1) + (top + rank - 1)
+    # one product per consecutive pair of nonzero boundaries per complex (a
+    # pair with a zero factor needs none): d_1 is zero, so ambient and Morse
+    # block make top - 2 products each, and so does the stabilized block,
+    # whose d_1..d_(rank + 1) are zero; taking a Morse block's homology
+    # checks nothing again
+    assert len(products) == 3 * (top - 2)
