@@ -11,8 +11,7 @@ RP^2, the tautological pair over RP^3 matches reduced RP^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
+from ._value import Value
 from .homology import (
     HomologyProfile,
     InadmissibleCharacterError,
@@ -24,20 +23,24 @@ from .homology import (
 )
 
 
-@dataclass(frozen=True)
-class BundleDescriptor:
+class BundleDescriptor(Value):
     base: Space
     rank: int
-    character: OrientationCharacter = OrientationCharacter.TRIVIAL
+    character: OrientationCharacter
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
+    def __init__(
+        self, base: Space, rank: int, character: OrientationCharacter = OrientationCharacter.TRIVIAL
+    ) -> None:
+        if rank < 0:
             raise ValueError("bundle rank must be nonnegative")
-        require_admissible(self.base, self.character)
-        if self.rank == 0 and self.character is OrientationCharacter.NONTRIVIAL:
+        require_admissible(base, character)
+        if rank == 0 and character is OrientationCharacter.NONTRIVIAL:
             raise InadmissibleCharacterError(
                 "a rank-0 bundle has no orientation to twist"
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "character", character)
 
 
 def thom_pair_homology(
@@ -54,16 +57,20 @@ def thom_pair_homology(
     return base.shifted(bundle.rank)
 
 
-@dataclass(frozen=True)
-class ThomIsoReport:
+class ThomIsoReport(Value):
     """Whether the pair homology equals the plain (untwisted) shift."""
 
     holds: bool
     pair: HomologyProfile
     shifted_base: HomologyProfile
 
+    def __init__(self, holds: bool, pair: HomologyProfile, shifted_base: HomologyProfile) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "shifted_base", shifted_base)
+
 
 def thom_iso_check(bundle: BundleDescriptor) -> ThomIsoReport:
     pair = thom_pair_homology(bundle)
-    plain = thom_pair_homology(replace(bundle, character=OrientationCharacter.TRIVIAL))
+    plain = thom_pair_homology(BundleDescriptor(bundle.base, bundle.rank))
     return ThomIsoReport(pair == plain, pair, plain)

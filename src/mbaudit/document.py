@@ -10,10 +10,10 @@ identity on the data model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from ._value import Value
 from .bundles import BundleDescriptor
 from .homology import (
     Explicit,
@@ -40,13 +40,29 @@ class DocumentError(ValueError):
     """Malformed audit document."""
 
 
-@dataclass
-class AuditDocument:
+class AuditDocument(Value):
+    """The parsed sections of a document; mutable, so not hashable."""
+
     ambient: Space
-    criticals: tuple[CriticalSubmanifold, ...] | None = None
-    morse: MorseData | None = None
-    twists: dict[str, SignTwist] = field(default_factory=dict)
-    bundle: BundleDescriptor | None = None
+    criticals: tuple[CriticalSubmanifold, ...] | None
+    morse: MorseData | None
+    twists: dict[str, SignTwist]
+    bundle: BundleDescriptor | None
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, ambient: Space, criticals: tuple[CriticalSubmanifold, ...] | None = None,
+        morse: MorseData | None = None, twists: dict[str, SignTwist] | None = None,
+        bundle: BundleDescriptor | None = None,
+    ) -> None:
+        self.ambient = ambient
+        self.criticals = criticals
+        self.morse = morse
+        self.twists = {} if twists is None else twists
+        self.bundle = bundle
 
     def morse_bott(self) -> MorseBottData:
         if self.criticals is None:
@@ -171,9 +187,11 @@ def parse_document(text: str) -> AuditDocument:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
     m = _require_mapping(obj, "document")
     _check_keys(m, "document", {"format", "ambient"}, {"criticals", "morse", "bundle"})
-    if m["format"] != FORMAT_VERSION:
+    if type(m["format"]) is not int or m["format"] != FORMAT_VERSION:  # not True, not 1.0
         raise DocumentError(f"unsupported format {m['format']!r}, expected {FORMAT_VERSION}")
     ambient = parse_space(m["ambient"], "ambient")
 

@@ -41,11 +41,12 @@ ranks, so Euler characteristics are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence, Union
+
+from ._value import Value
 
 
 class ChainComplexError(ValueError):
@@ -60,8 +61,7 @@ class InadmissibleCharacterError(ValueError):
 # matrices
 
 
-@dataclass(frozen=True, init=False)
-class IntegerMatrix:
+class IntegerMatrix(Value):
     """A rows x cols integer matrix, entries stored row-major."""
 
     rows: int
@@ -151,21 +151,22 @@ class IntegerMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(Value):
     """Invariant factors (positive, each dividing the next) and the rank."""
 
     factors: tuple[int, ...]
     rank: int
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __init__(self, factors: tuple[int, ...], rank: int) -> None:
+        for a, b in zip(factors, factors[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors {self.factors} are not a divisor chain")
-        if any(f <= 0 for f in self.factors):
+                raise ValueError(f"invariant factors {factors} are not a divisor chain")
+        if any(f <= 0 for f in factors):
             raise ValueError("invariant factors must be positive")
-        if self.rank != len(self.factors):
+        if rank != len(factors):
             raise ValueError("rank must equal the number of invariant factors")
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "rank", rank)
 
 
 def _smallest_nonzero(a: list[list[int]], t: int, nrows: int, ncols: int):
@@ -344,8 +345,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
 # chain complexes and homology
 
 
-@dataclass(frozen=True, init=False)
-class IntegerChainComplex:
+class IntegerChainComplex(Value):
     """Ranks per degree plus boundaries d_1..d_top, validated on build."""
 
     ranks: tuple[int, ...]
@@ -396,8 +396,7 @@ class IntegerChainComplex:
         return sum(r if k % 2 == 0 else -r for k, r in enumerate(self.ranks))
 
 
-@dataclass(frozen=True, init=False)
-class AbelianGroup:
+class AbelianGroup(Value):
     """Z^free_rank plus cyclic torsion in invariant-factor form."""
 
     free_rank: int
@@ -431,8 +430,7 @@ class AbelianGroup:
 TRIVIAL_GROUP = AbelianGroup()
 
 
-@dataclass(frozen=True, init=False)
-class HomologyProfile:
+class HomologyProfile(Value):
     """Homology groups per degree, trimmed so the top group is nontrivial.
 
     Trimming makes equality degree-by-degree equality: two profiles that
@@ -506,39 +504,39 @@ def homology(complex: IntegerChainComplex) -> HomologyProfile:
 # space catalog
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(Value):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise ValueError("sphere dimension must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class RealProjective:
+class RealProjective(Value):
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise ValueError("projective-space dimension must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True)
-class Torus2:
+class Torus2(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Value):
     """A user-supplied complex standing in for a space."""
 
     complex: IntegerChainComplex
+
+    def __init__(self, complex: IntegerChainComplex) -> None:
+        object.__setattr__(self, "complex", complex)
 
 
 Space = Union[Point, Sphere, RealProjective, Torus2, Explicit]

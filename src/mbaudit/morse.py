@@ -15,9 +15,9 @@ detectable, because the twisted differential stops squaring to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._value import Value
 from .homology import (
     ChainComplexError,
     HomologyProfile,
@@ -42,8 +42,7 @@ def _complex_from_counts(
     return IntegerChainComplex(tuple(counts), tuple(bounds))
 
 
-@dataclass(frozen=True, init=False)
-class MorseData:
+class MorseData(Value):
     """Labeled generators plus differentials keyed by source index.
 
     The matrix at key k maps index-k generators to index-(k-1)
@@ -51,8 +50,8 @@ class MorseData:
     appear in ``generators``, rows likewise for index k-1.
 
     The chain complex built (and checked for d∘d = 0) on construction is
-    kept in an attribute that is not a dataclass field, so equality,
-    hashing and repr see only the data.
+    kept in an attribute that is not a field, so equality, hashing and
+    repr see only the data.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -107,8 +106,7 @@ class MorseData:
         return self._complex
 
 
-@dataclass(frozen=True, init=False)
-class SignTwist:
+class SignTwist(Value):
     """One ±1 matrix per differential, applied entrywise."""
 
     signs: tuple[tuple[int, IntegerMatrix], ...]

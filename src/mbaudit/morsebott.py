@@ -25,9 +25,9 @@ homology of each (space, character) pair.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Value
 from .bundles import BundleDescriptor, thom_pair_homology
 from .homology import (
     Explicit,
@@ -44,30 +44,34 @@ from .polyalg import ONE_PLUS_T, IntPoly, divide_by_one_plus_t
 MODES = ("untwisted", "local")
 
 
-@dataclass(frozen=True)
-class CriticalSubmanifold:
+class CriticalSubmanifold(Value):
     """A connected catalog space sitting at a given index, together with
     the orientation character of its negative normal bundle, which is
     built to validate the piece: a twisted piece at index 0 is refused."""
 
     space: Space
     index: int
-    negative_character: OrientationCharacter = OrientationCharacter.TRIVIAL
+    negative_character: OrientationCharacter
 
-    def __post_init__(self) -> None:
-        if isinstance(self.space, Explicit):
+    def __init__(
+        self, space: Space, index: int,
+        negative_character: OrientationCharacter = OrientationCharacter.TRIVIAL,
+    ) -> None:
+        if isinstance(space, Explicit):
             raise ValueError("critical submanifolds must be connected catalog spaces")
-        if self.index < 0:
+        if index < 0:
             raise ValueError("critical index must be nonnegative")
-        BundleDescriptor(self.space, self.index, self.negative_character)
+        BundleDescriptor(space, index, negative_character)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "negative_character", negative_character)
 
 
-@dataclass(frozen=True, init=False)
-class MorseBottData:
+class MorseBottData(Value):
     """Ambient space plus critical submanifolds in filtration order.
 
     Homology profiles are memoized per object in a table that is not a
-    dataclass field, so equality, hashing and repr see only the data.
+    field, so equality, hashing and repr see only the data.
     """
 
     ambient: Space
@@ -151,28 +155,35 @@ class InequalityVerdict:
     holds = False
 
 
-@dataclass(frozen=True)
-class Holds(InequalityVerdict):
+class Holds(InequalityVerdict, Value):
     quotient: IntPoly
 
     holds = True
 
+    def __init__(self, quotient: IntPoly) -> None:
+        object.__setattr__(self, "quotient", quotient)
 
-@dataclass(frozen=True)
-class FailsNotDivisible(InequalityVerdict):
+
+class FailsNotDivisible(InequalityVerdict, Value):
     """mb - p is not divisible by 1 + t; chi_gap is its value at -1,
     the Euler-characteristic mismatch."""
 
     chi_gap: int
 
+    def __init__(self, chi_gap: int) -> None:
+        object.__setattr__(self, "chi_gap", chi_gap)
 
-@dataclass(frozen=True)
-class FailsNegativeCoefficient(InequalityVerdict):
+
+class FailsNegativeCoefficient(InequalityVerdict, Value):
     """The quotient exists but dips negative; degree is the lowest
     offending power of t."""
 
     degree: int
     quotient: IntPoly
+
+    def __init__(self, degree: int, quotient: IntPoly) -> None:
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "quotient", quotient)
 
 
 def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
@@ -206,14 +217,24 @@ def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, 
     return tuple(page)
 
 
-@dataclass(frozen=True)
-class E2Report:
+class E2Report(Value):
     total_free_rank: int
     ambient_rank: int
     rank_bound_ok: bool
     euler_sum: int
     ambient_euler: int
     euler_ok: bool
+
+    def __init__(
+        self, total_free_rank: int, ambient_rank: int, rank_bound_ok: bool,
+        euler_sum: int, ambient_euler: int, euler_ok: bool,
+    ) -> None:
+        object.__setattr__(self, "total_free_rank", total_free_rank)
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "rank_bound_ok", rank_bound_ok)
+        object.__setattr__(self, "euler_sum", euler_sum)
+        object.__setattr__(self, "ambient_euler", ambient_euler)
+        object.__setattr__(self, "euler_ok", euler_ok)
 
 
 def e2_consistency(data: MorseBottData, naive: bool = False) -> E2Report:

@@ -13,16 +13,16 @@ when it vanishes at -1, and the nonnegativity of the quotient is what
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+from ._value import Value
 
 
 class NotDivisibleError(ValueError):
     """Division by 1 + t left a nonzero remainder."""
 
 
-@dataclass(frozen=True, init=False)
-class IntPoly:
+class IntPoly(Value):
     """An integer polynomial in t.
 
     >>> p = IntPoly([1, 1, 0, 0, 1, 1])

@@ -2,16 +2,16 @@
 random complexes with known homology, and a CLI runner.
 
 The oracle deliberately shares no code with the Smith-normal-form route:
-free ranks come from Gaussian elimination over Fractions, and the number
-of even torsion factors per degree is recovered from mod-2 dimensions
-via universal coefficients (dim_F2 H_k = free_k + t2_k + t2_{k-1}).
+free ranks come from fraction-free (Bareiss) elimination over the
+integers, and the number of even torsion factors per degree is
+recovered from mod-2 dimensions via universal coefficients
+(dim_F2 H_k = free_k + t2_k + t2_{k-1}).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -53,18 +53,25 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 
 def rank_over_rationals(m: IntegerMatrix) -> int:
-    rows = [[Fraction(e) for e in m.row(i)] for i in range(m.rows)]
-    rank = 0
+    """Rank over Q by fraction-free (Bareiss) row echelon elimination.
+
+    After each pivot every entry below it is a minor of ``m``, so the
+    division by the previous pivot is exact and the entries stay
+    integers no larger than the Hadamard bound.
+    """
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    rank, prev = 0, 1
     for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         lead = rows[rank]
-        for r in range(m.rows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / lead[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], lead)]
+        p = lead[col]
+        for r in range(rank + 1, m.rows):
+            f = rows[r][col]
+            rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], lead)]
+        prev = p
         rank += 1
     return rank
 

@@ -248,6 +248,27 @@ def test_console_entry_point_runs():
     assert "MB_t = 1 + t + t^4 + t^5" in proc.stdout
 
 
+def test_deeply_nested_document_exits_2_without_traceback(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for command in ("audit", "morse"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mbaudit", command, str(p)],
+            capture_output=True, text=True, cwd=REPO, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), command
+        assert proc.stderr == "error: invalid JSON: nested too deeply\n"
+
+
+def test_format_true_exits_2(tmp_path):
+    doc = json.loads((FIXTURES / "rp5-counterexample.json").read_text())
+    doc["format"] = True
+    p = tmp_path / "format-true.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("audit", str(p)) == (2, "", "error: unsupported format True, expected 1\n")
+
+
 def test_usage_error_is_exit_2():
     assert run_cli("audit")[0] == 2
     assert run_cli("nonsense")[0] == 2

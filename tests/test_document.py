@@ -72,9 +72,15 @@ def test_format_header_required_and_versioned():
     del doc["format"]
     with pytest.raises(DocumentError, match="format"):
         parse_document(json.dumps(doc))
-    doc["format"] = 2
-    with pytest.raises(DocumentError, match="unsupported format"):
-        parse_document(json.dumps(doc))
+    for version in (2, True, 1.0):  # the integer 1 only
+        doc["format"] = version
+        with pytest.raises(DocumentError, match=f"^unsupported format {version!r}, expected 1$"):
+            parse_document(json.dumps(doc))
+
+
+def test_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError, match="^invalid JSON: nested too deeply$"):
+        parse_document("[" * 100_000 + "]" * 100_000)
 
 
 def test_matrix_entries_must_be_integers():
