@@ -2,9 +2,9 @@
 
 The grammar is frozen in docs/format.md.  Parsing is strict: unknown
 keys are rejected at every level, matrix entries must be JSON integers,
-and the resulting values are the ordinary module-level types, validated
-by their own constructors.  ``parse -> serialize -> parse`` is the
-identity on the data model.
+and the resulting values are the ordinary module-level types, each
+validated once, by its own constructor.  ``parse -> serialize -> parse``
+is the identity on the data model.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ class DocumentError(ValueError):
 
 
 class AuditDocument(Value):
-    """The parsed sections of a document; mutable, so not hashable."""
+    """The parsed sections of a document; not hashable, as ``twists`` is
+    a dict.  The :class:`MorseBottData` built (and validated) from
+    ``criticals`` is kept in an attribute that is not a field."""
 
     ambient: Space
     criticals: tuple[CriticalSubmanifold, ...] | None
@@ -49,8 +51,6 @@ class AuditDocument(Value):
     twists: dict[str, SignTwist]
     bundle: BundleDescriptor | None
 
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -58,16 +58,18 @@ class AuditDocument(Value):
         morse: MorseData | None = None, twists: dict[str, SignTwist] | None = None,
         bundle: BundleDescriptor | None = None,
     ) -> None:
-        self.ambient = ambient
-        self.criticals = criticals
-        self.morse = morse
-        self.twists = {} if twists is None else twists
-        self.bundle = bundle
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "criticals", criticals)
+        object.__setattr__(self, "morse", morse)
+        object.__setattr__(self, "twists", {} if twists is None else twists)
+        object.__setattr__(self, "bundle", bundle)
+        data = None if criticals is None else MorseBottData(ambient, criticals)
+        object.__setattr__(self, "_morse_bott", data)
 
     def morse_bott(self) -> MorseBottData:
-        if self.criticals is None:
+        if self._morse_bott is None:
             raise DocumentError("document has no criticals section")
-        return MorseBottData(self.ambient, self.criticals)
+        return self._morse_bott
 
 
 def _require_mapping(obj: Any, what: str) -> Mapping[str, Any]:
@@ -107,11 +109,10 @@ def parse_matrix(obj: Any, what: str = "matrix") -> IntegerMatrix:
     entries = m["entries"]
     if not isinstance(entries, list):
         raise DocumentError(f"{what}.entries must be a list")
-    if not {int}.issuperset(map(type, entries)):  # one C-level pass; type(True) is bool
-        for e in entries:
-            _int(e, f"{what} entry")
     try:
         return IntegerMatrix(rows, cols, entries)
+    except TypeError:
+        raise DocumentError(f"{what} entry must be an integer") from None
     except ValueError as exc:
         raise DocumentError(f"{what}: {exc}") from exc
 
@@ -156,7 +157,10 @@ def _parse_indexed_matrices(obj: Any, what: str) -> dict[int, IntegerMatrix]:
     for key, value in m.items():
         if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
             raise DocumentError(f"{what} keys must be nonnegative integer strings")
-        out[int(key)] = parse_matrix(value, f"{what}[{key}]")
+        digits = key.lstrip("0") or "0"  # int() counts leading zeros to its digit limit
+        if len(digits) > len(str(MAX_DEGREE)):
+            raise DocumentError(f"{what} key must be at most {MAX_DEGREE}, got {len(digits)} digits")
+        out[parse_degree(int(digits), f"{what} key")] = parse_matrix(value, f"{what}[{key}]")
     return out
 
 
@@ -227,10 +231,7 @@ def parse_document(text: str) -> AuditDocument:
             parse_character(bm["character"], "bundle character"),
         )
 
-    doc = AuditDocument(ambient, criticals, morse, twists, bundle)
-    if doc.criticals is not None:
-        doc.morse_bott()  # run the Morse-Bott validation now
-    return doc
+    return AuditDocument(ambient, criticals, morse, twists, bundle)
 
 
 def load_document(path: str | Path) -> AuditDocument:

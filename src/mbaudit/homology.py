@@ -47,6 +47,7 @@ from math import gcd
 from typing import Iterable, Sequence, Union
 
 from ._value import Value
+from .polyalg import IntPoly
 
 
 class ChainComplexError(ValueError):
@@ -73,9 +74,8 @@ class IntegerMatrix(Value):
             raise ValueError("matrix dimensions must be nonnegative")
         es = tuple(entries)
         if not {int}.issuperset(map(type, es)):  # one C-level pass; type(True) is bool
-            for e in es:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"integer entry expected, got {e!r}")
+            bad = next(e for e in es if type(e) is not int)
+            raise TypeError(f"integer entry expected, got {bad!r}")
         if len(es) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
@@ -158,11 +158,11 @@ class SmithNormalForm(Value):
     rank: int
 
     def __init__(self, factors: tuple[int, ...], rank: int) -> None:
+        if any(f <= 0 for f in factors):
+            raise ValueError("invariant factors must be positive")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} are not a divisor chain")
-        if any(f <= 0 for f in factors):
-            raise ValueError("invariant factors must be positive")
         if rank != len(factors):
             raise ValueError("rank must equal the number of invariant factors")
         object.__setattr__(self, "factors", factors)
@@ -470,9 +470,7 @@ class HomologyProfile(Value):
     def total_free_rank(self) -> int:
         return sum(g.free_rank for g in self.groups)
 
-    def poincare_polynomial(self):
-        from .polyalg import IntPoly
-
+    def poincare_polynomial(self) -> IntPoly:
         return IntPoly([g.free_rank for g in self.groups])
 
     def euler_characteristic(self) -> int:

@@ -11,6 +11,8 @@ up by r and every matrix entry picks up a sign recording whether the
 fibre orientation is preserved along that trajectory.  The sign
 bookkeeping is the :class:`SignTwist`; an inconsistent assignment is
 detectable, because the twisted differential stops squaring to zero.
+With no twist, stabilization is a pure shift.  Shapes and d∘d = 0 are
+checked once, by the :class:`IntegerChainComplex` a MorseData builds.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class MorseData(Value):
     generators; its columns follow the order in which index-k generators
     appear in ``generators``, rows likewise for index k-1.
 
-    The chain complex built (and checked for d∘d = 0) on construction is
-    kept in an attribute that is not a field, so equality, hashing and
-    repr see only the data.
+    The chain complex built (and checked for shapes and d∘d = 0) on
+    construction is kept in an attribute that is not a field, so
+    equality, hashing and repr see only the data.
     """
 
     generators: tuple[tuple[str, int], ...]
@@ -73,18 +75,14 @@ class MorseData(Value):
         diffs = dict(differentials or {})
         counts = self._counts(gens)
         top = len(counts) - 1
-        for k, d in diffs.items():
+        for k in diffs:
             if not isinstance(k, int) or k < 1 or k > top:
                 raise ValueError(f"differential key {k} out of range 1..{top}")
-            if (d.rows, d.cols) != (counts[k - 1], counts[k]):
-                raise ValueError(
-                    f"differential {k} must be {counts[k - 1]}x{counts[k]}, got {d.rows}x{d.cols}"
-                )
         object.__setattr__(self, "generators", gens)
         object.__setattr__(
             self, "differentials", tuple(sorted(diffs.items()))
         )
-        # validates d∘d = 0 (raises ChainComplexError if not)
+        # checks each shape and d∘d = 0 (raises ChainComplexError if not)
         object.__setattr__(self, "_complex", _complex_from_counts(counts, diffs))
 
     @staticmethod
@@ -118,12 +116,6 @@ class SignTwist(Value):
                 raise ValueError(f"twist {k} has entries other than +1/-1")
         object.__setattr__(self, "signs", tuple(sorted(ss.items())))
 
-    @staticmethod
-    def all_plus(data: MorseData) -> SignTwist:
-        return SignTwist(
-            {k: IntegerMatrix(d.rows, d.cols, (1,) * (d.rows * d.cols)) for k, d in data.differentials}
-        )
-
     def sign_map(self) -> dict[int, IntegerMatrix]:
         return dict(self.signs)
 
@@ -135,32 +127,31 @@ def morse_homology(data: MorseData) -> HomologyProfile:
 def stabilize(data: MorseData, rank: int, twist: SignTwist | None = None) -> MorseData:
     """Shift all indices up by ``rank`` and twist the differentials.
 
-    The twist must carry exactly one sign matrix per differential of
-    ``data``, keyed by the (unshifted) source index, with matching
-    shape.  If the twisted differentials violate d∘d = 0 the sign
-    assignment was inconsistent and :class:`InconsistentTwistError` is
-    raised.
+    Without a twist this is a pure shift: the differentials are reused
+    as they are.  A twist must carry exactly one sign matrix per
+    differential of ``data``, keyed by the (unshifted) source index,
+    with matching shape.  If the twisted differentials violate d∘d = 0
+    the sign assignment was inconsistent and
+    :class:`InconsistentTwistError` is raised.
     """
     if rank < 0:
         raise ValueError("stabilization rank must be nonnegative")
-    if twist is None:
-        twist = SignTwist.all_plus(data)
     diffs = data.differential_map()
-    signs = twist.sign_map()
-    if set(signs) != set(diffs):
-        raise ValueError(
-            f"twist keys {sorted(signs)} do not match differential keys {sorted(diffs)}"
-        )
-    twisted = {}
-    for k, d in diffs.items():
-        s = signs[k]
-        if (s.rows, s.cols) != (d.rows, d.cols):
+    if twist is not None:
+        signs = twist.sign_map()
+        if set(signs) != set(diffs):
             raise ValueError(
-                f"twist {k} must be {d.rows}x{d.cols}, got {s.rows}x{s.cols}"
+                f"twist keys {sorted(signs)} do not match differential keys {sorted(diffs)}"
             )
-        twisted[k + rank] = d.entrywise_product(s)
+        for k, d in diffs.items():
+            s = signs[k]
+            if (s.rows, s.cols) != (d.rows, d.cols):
+                raise ValueError(
+                    f"twist {k} must be {d.rows}x{d.cols}, got {s.rows}x{s.cols}"
+                )
+            diffs[k] = d.entrywise_product(s)
     generators = tuple((label, index + rank) for label, index in data.generators)
     try:
-        return MorseData(generators, twisted)
+        return MorseData(generators, {k + rank: d for k, d in diffs.items()})
     except ChainComplexError as exc:
         raise InconsistentTwistError(f"twisted differential does not square to zero: {exc}") from exc

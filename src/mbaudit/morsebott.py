@@ -47,7 +47,8 @@ MODES = ("untwisted", "local")
 class CriticalSubmanifold(Value):
     """A connected catalog space sitting at a given index, together with
     the orientation character of its negative normal bundle, which is
-    built to validate the piece: a twisted piece at index 0 is refused."""
+    built to validate the piece (a twisted piece at index 0 is refused)
+    and kept, in an attribute that is not a field, for the E2 page."""
 
     space: Space
     index: int
@@ -61,10 +62,11 @@ class CriticalSubmanifold(Value):
             raise ValueError("critical submanifolds must be connected catalog spaces")
         if index < 0:
             raise ValueError("critical index must be nonnegative")
-        BundleDescriptor(space, index, negative_character)
+        bundle = BundleDescriptor(space, index, negative_character)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "negative_character", negative_character)
+        object.__setattr__(self, "_negative_bundle", bundle)
 
 
 class MorseBottData(Value):
@@ -211,8 +213,7 @@ def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, 
     """
     page = []
     for crit in data.criticals:
-        character = OrientationCharacter.TRIVIAL if naive else crit.negative_character
-        b = BundleDescriptor(crit.space, crit.index, character)
+        b = BundleDescriptor(crit.space, crit.index) if naive else crit._negative_bundle
         page.append(thom_pair_homology(b, data._homology(b.base, b.character)))
     return tuple(page)
 

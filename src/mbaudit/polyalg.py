@@ -40,9 +40,9 @@ class IntPoly(Value):
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
+        if not {int}.issuperset(map(type, cs)):  # one C-level pass; type(True) is bool
+            bad = next(c for c in cs if type(c) is not int)
+            raise TypeError(f"integer coefficient expected, got {bad!r}")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -187,9 +187,3 @@ def divide_by_one_plus_t(p: IntPoly) -> IntPoly:
         raise NotDivisibleError(f"not divisible by 1 + t (remainder {remainder})")
     assert q[-1] == 0
     return IntPoly(q[:-1])
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -323,3 +323,21 @@ def test_degree_limit_exits_2():
     code, out, _ = run_cli("thom", "point,10000,orientable")
     assert code == 0
     assert out.endswith(" 10000  Z\nTHOM ISO: holds\n")
+
+
+def test_morse_differential_shape_exit_2(tmp_path):
+    doc = {
+        "format": 1,
+        "ambient": "sphere:1",
+        "morse": {
+            "generators": [
+                {"label": "a", "index": 0},
+                {"label": "b", "index": 0},
+                {"label": "c", "index": 1},
+            ],
+            "differentials": {"1": {"rows": 1, "cols": 1, "entries": [0]}},
+        },
+    }
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("morse", str(p)) == (2, "", "error: d_1 must be 2x1, got 1x1\n")

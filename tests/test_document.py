@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 from mbaudit import (
     DocumentError,
     InadmissibleCharacterError,
+    MorseBottData,
     OrientationCharacter,
     RealProjective,
     parse_document,
@@ -236,3 +238,53 @@ def test_degrees_are_bounded():
         with pytest.raises(DocumentError) as exc:
             parse_document(json.dumps(dict(doc, format=1)))
         assert str(exc.value) == f"{what} must be at most {MAX_DEGREE}, got {over}"
+
+
+def test_one_morse_bott_build_per_document(monkeypatch):
+    built = []
+    original = MorseBottData.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MorseBottData, "__init__", counting)
+    doc = parse_document(load("rp5-counterexample"))
+    first, second = doc.morse_bott(), doc.morse_bott()
+    assert first is second
+    assert len(built) == 1 and built[0] is first
+
+
+def test_missing_minimum_warns_once_per_document():
+    text = json.dumps(
+        {
+            "format": 1,
+            "ambient": {"ranks": [1, 1], "boundaries": [{"rows": 1, "cols": 1, "entries": [0]}]},
+            "criticals": [{"space": "point", "index": 1, "negative_character": "orientable"}],
+        }
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        doc = parse_document(text)
+        doc.morse_bott()
+        doc.morse_bott()
+    assert [str(w.message) for w in caught] == ["no index-0 critical submanifold; minimum missing?"]
+
+
+def test_matrix_keys_are_bounded_degrees(tmp_path):
+    over, long_key = str(MAX_DEGREE + 1), "0" + "9" * 5000
+    for key, got in [(over, over), (long_key, "5000 digits")]:
+        for where in ("morse.differentials", "twist 'moebius'"):
+            doc = json.loads(load("s1-moebius"))
+            block = doc["morse"]["differentials"]
+            if where.startswith("twist"):
+                block = doc["morse"]["twists"]["moebius"]
+            block[key] = block.pop("1")
+            with pytest.raises(DocumentError) as exc:
+                parse_document(json.dumps(doc))
+            assert str(exc.value) == f"{where} key must be at most {MAX_DEGREE}, got {got}"
+    p = tmp_path / "long-key.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("morse", str(p)) == (
+        2, "", f"error: twist 'moebius' key must be at most {MAX_DEGREE}, got 5000 digits\n"
+    )

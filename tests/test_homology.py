@@ -1,5 +1,6 @@
 import importlib
 import math
+from enum import IntEnum
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from mbaudit import (
     OrientationCharacter,
     Point,
     RealProjective,
+    SmithNormalForm,
     Sphere,
     Torus2,
     catalog_complex,
@@ -413,8 +415,13 @@ def test_sparse_product_matches_the_triple_loop():
         assert all(type(e) is int for e in prod.entries)
 
 
+class Sign(IntEnum):
+    PLUS = 1
+
+
 def test_matrix_entry_type_errors_name_the_first_bad_entry():
-    for bad in (True, False, 0.5, 1.0, "1"):
+    # the type must be int itself: bool and IntEnum are int subclasses
+    for bad in (True, False, 0.5, 1.0, "1", Sign.PLUS):
         with pytest.raises(TypeError) as exc:
             IntegerMatrix(1, 3, (1, bad, 2.5))
         assert str(exc.value) == f"integer entry expected, got {bad!r}"
@@ -438,3 +445,9 @@ def test_unit_pivot_stops_the_scan_at_the_first_minimum():
         a = random_sparse(rng, rows, cols).to_rows()
         t = rng.randint(0, min(rows, cols) - 1)
         assert _smallest_nonzero(a, t, rows, cols) == full_scan(a, t)
+
+
+def test_snf_checks_positivity_before_the_divisor_chain():
+    for factors in ((0, 2), (-2, 4), (2, 0), (0,)):
+        with pytest.raises(ValueError, match="^invariant factors must be positive$"):
+            SmithNormalForm(factors, len(factors))

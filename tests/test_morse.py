@@ -243,3 +243,13 @@ def test_each_complex_is_checked_once(monkeypatch, rank):
     # whose d_1..d_(rank + 1) are zero; taking a Morse block's homology
     # checks nothing again
     assert len(products) == 3 * (top - 2)
+
+
+def test_untwisted_stabilization_is_a_shift(monkeypatch):
+    data = circle_wavy()
+    products = []
+    monkeypatch.setattr(IntegerMatrix, "entrywise_product", lambda *args: products.append(args))
+    shifted = stabilize(data, 3)
+    assert products == []
+    assert shifted.differentials == ((4, data.differential_map()[1]),)
+    assert shifted.differential_map()[4] is data.differential_map()[1]

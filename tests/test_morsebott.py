@@ -8,6 +8,7 @@ import pytest
 import mbaudit.bundles
 import mbaudit.morsebott
 from mbaudit import (
+    BundleDescriptor,
     CriticalSubmanifold,
     Explicit,
     FailsNegativeCoefficient,
@@ -402,3 +403,22 @@ def test_e2_consistency_equals_the_page_sums_on_every_fixture():
                 ambient = data.ambient_homology()
                 assert report.ambient_rank == ambient.total_free_rank()
                 assert report.ambient_euler == ambient.euler_characteristic()
+
+
+def test_audit_builds_one_negative_bundle_per_piece(monkeypatch):
+    built = []
+    original = BundleDescriptor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BundleDescriptor, "__init__", counting)
+    code, _, _ = run_cli("audit", "rp5-counterexample", "--naive")
+    assert code == 1
+    # each piece builds its bundle to validate itself; the E2 page reuses it
+    assert built == [
+        (Point(), 0, TRIV),
+        (RealProjective(3), 1, TW),
+        (Point(), 5, TRIV),
+    ]

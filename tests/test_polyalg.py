@@ -1,4 +1,5 @@
 import doctest
+from enum import IntEnum
 from random import Random
 
 import pytest
@@ -121,3 +122,13 @@ def test_coefficients_are_exact_big_integers():
     big = 10**40
     p = IntPoly([big, big])
     assert (p * p).coefficient(1) == 2 * big * big
+
+
+def test_coefficients_are_exactly_int():
+    class Sign(IntEnum):
+        PLUS = 1
+
+    for bad in (True, 1.0, Sign.PLUS):
+        with pytest.raises(TypeError) as exc:
+            IntPoly([0, bad, 2.5])
+        assert str(exc.value) == f"integer coefficient expected, got {bad!r}"
