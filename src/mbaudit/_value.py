@@ -1,7 +1,9 @@
 """A base for frozen value classes, with no code generated at import.
 
-A subclass lists its fields as class annotations, in order, and writes
-its own ``__init__``, which stores each field with ``object.__setattr__``.
+A subclass lists its fields as class annotations, in order.  A class
+with nothing to check inherits the base ``__init__``, which takes the
+fields by position or by name; a class that checks its input writes its
+own ``__init__`` and stores each field with ``object.__setattr__``.
 The base reads the field names once per class and gives every subclass
 the ``repr``, ``==`` and ``hash`` of a frozen dataclass: ``Name(f=...)``,
 equality only between instances of one class, and the hash of the tuple
@@ -24,6 +26,13 @@ class Value:
             cls._key = attrgetter(*names)
         if len(names) == 1:  # attrgetter gives a bare value for one name
             cls.__hash__ = _hash_one_field
+
+    def __init__(self, *values, **named) -> None:
+        names = self.__match_args__
+        if len(values) + len(named) != len(names) or named.keys() != set(names[len(values):]):
+            raise TypeError(f"{type(self).__qualname__}({', '.join(names)}) takes each field once")
+        for name, value in (*zip(names, values), *named.items()):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def _key(self) -> tuple:  # no fields; a class with fields gets an attrgetter

@@ -64,11 +64,6 @@ class ThomIsoReport(Value):
     pair: HomologyProfile
     shifted_base: HomologyProfile
 
-    def __init__(self, holds: bool, pair: HomologyProfile, shifted_base: HomologyProfile) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "shifted_base", shifted_base)
-
 
 def thom_iso_check(bundle: BundleDescriptor) -> ThomIsoReport:
     pair = thom_pair_homology(bundle)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .bundles import BundleDescriptor, thom_iso_check, thom_pair_homology
-from .document import DocumentError, load_document, parse_character, parse_degree, parse_space
+from .document import DocumentError, load_document, parse_character, parse_degree_text, parse_space
 from .homology import (
     HomologyProfile,
     InadmissibleCharacterError,
@@ -59,15 +59,6 @@ def _paint(text: str, ok: bool) -> str:
     if os.environ.get("MBAUDIT_COLOR") == "1":
         return f"\x1b[{'32' if ok else '31'}m{text}\x1b[0m"
     return text
-
-
-def _rank_arg(text: str, what: str) -> int:
-    """A degree written in ASCII digits, spaces around allowed."""
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise DocumentError(f"{what} must be an integer, got {text!r}")
-    # past int()'s digit limit a ValueError, which exits 2 too
-    return parse_degree(int(digits), what)
 
 
 def _print_table(profile: HomologyProfile, top: int) -> None:
@@ -152,7 +143,7 @@ def cmd_thom(args: argparse.Namespace) -> int:
     if len(parts) != 3:
         raise DocumentError("bundle argument must be base,rank,character")
     base = parse_space(parts[0].strip(), "bundle base")
-    rank = _rank_arg(parts[1], "bundle rank")
+    rank = parse_degree_text(parts[1].strip(), "bundle rank")
     character = parse_character(parts[2].strip(), "bundle character")
     report = thom_iso_check(BundleDescriptor(base, rank, character))
     print(
@@ -165,7 +156,7 @@ def cmd_thom(args: argparse.Namespace) -> int:
 
 
 def cmd_morse(args: argparse.Namespace) -> int:
-    rank = 0 if args.stabilize is None else _rank_arg(args.stabilize, "stabilization rank")
+    rank = 0 if args.stabilize is None else parse_degree_text(args.stabilize.strip(), "stabilization rank")
     doc = load_document(_resolve_input(args.document))
     if doc.morse is None:
         raise DocumentError("document has no morse section")

@@ -101,6 +101,17 @@ def parse_degree(obj: Any, what: str) -> int:
     return n
 
 
+def parse_degree_text(text: str, what: str) -> int:
+    """A degree written as text: ASCII decimal with no sign and no leading
+    zero, so each degree has one spelling, and no more digits than MAX_DEGREE."""
+    digits = text.isascii() and text.isdigit()
+    if digits and len(text) > len(str(MAX_DEGREE)):  # before int() reads it
+        raise DocumentError(f"{what} must be at most {MAX_DEGREE}, got {len(text)} digits")
+    if not digits or (text[0] == "0" and text != "0"):
+        raise DocumentError(f"{what} must be an integer, got {text!r}")
+    return parse_degree(int(text), what)
+
+
 def parse_matrix(obj: Any, what: str = "matrix") -> IntegerMatrix:
     m = _require_mapping(obj, what)
     _check_keys(m, what, {"rows", "cols", "entries"})
@@ -124,9 +135,9 @@ def parse_space(obj: Any, what: str = "space") -> Space:
         if obj == "torus2":
             return Torus2()
         kind, sep, arg = obj.partition(":")
-        if sep and arg.isascii() and arg.isdigit() and kind in ("sphere", "rp"):
+        if sep and kind in ("sphere", "rp"):
             try:
-                n = parse_degree(int(arg), "dimension")
+                n = parse_degree_text(arg, "dimension")
                 return Sphere(n) if kind == "sphere" else RealProjective(n)
             except ValueError as exc:
                 raise DocumentError(f"{what}: {exc}") from exc
@@ -155,12 +166,7 @@ def _parse_indexed_matrices(obj: Any, what: str) -> dict[int, IntegerMatrix]:
     m = _require_mapping(obj, what)
     out: dict[int, IntegerMatrix] = {}
     for key, value in m.items():
-        if not isinstance(key, str) or not (key.isascii() and key.isdigit()):
-            raise DocumentError(f"{what} keys must be nonnegative integer strings")
-        digits = key.lstrip("0") or "0"  # int() counts leading zeros to its digit limit
-        if len(digits) > len(str(MAX_DEGREE)):
-            raise DocumentError(f"{what} key must be at most {MAX_DEGREE}, got {len(digits)} digits")
-        out[parse_degree(int(digits), f"{what} key")] = parse_matrix(value, f"{what}[{key}]")
+        out[parse_degree_text(key, f"{what} key")] = parse_matrix(value, f"{what}[{key}]")
     return out
 
 
@@ -186,10 +192,19 @@ def _parse_morse(obj: Any) -> tuple[MorseData, dict[str, SignTwist]]:
     return data, twists
 
 
+def _refuse_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_document(text: str) -> AuditDocument:
     try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        obj = json.loads(text, object_pairs_hook=_refuse_duplicate_keys)
+    except ValueError as exc:  # JSONDecodeError, a duplicate key, or an integer over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None

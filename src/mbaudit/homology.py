@@ -533,9 +533,6 @@ class Explicit(Value):
 
     complex: IntegerChainComplex
 
-    def __init__(self, complex: IntegerChainComplex) -> None:
-        object.__setattr__(self, "complex", complex)
-
 
 Space = Union[Point, Sphere, RealProjective, Torus2, Explicit]
 

@@ -162,18 +162,12 @@ class Holds(InequalityVerdict, Value):
 
     holds = True
 
-    def __init__(self, quotient: IntPoly) -> None:
-        object.__setattr__(self, "quotient", quotient)
-
 
 class FailsNotDivisible(InequalityVerdict, Value):
     """mb - p is not divisible by 1 + t; chi_gap is its value at -1,
     the Euler-characteristic mismatch."""
 
     chi_gap: int
-
-    def __init__(self, chi_gap: int) -> None:
-        object.__setattr__(self, "chi_gap", chi_gap)
 
 
 class FailsNegativeCoefficient(InequalityVerdict, Value):
@@ -182,10 +176,6 @@ class FailsNegativeCoefficient(InequalityVerdict, Value):
 
     degree: int
     quotient: IntPoly
-
-    def __init__(self, degree: int, quotient: IntPoly) -> None:
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "quotient", quotient)
 
 
 def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
@@ -225,17 +215,6 @@ class E2Report(Value):
     euler_sum: int
     ambient_euler: int
     euler_ok: bool
-
-    def __init__(
-        self, total_free_rank: int, ambient_rank: int, rank_bound_ok: bool,
-        euler_sum: int, ambient_euler: int, euler_ok: bool,
-    ) -> None:
-        object.__setattr__(self, "total_free_rank", total_free_rank)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rank_bound_ok", rank_bound_ok)
-        object.__setattr__(self, "euler_sum", euler_sum)
-        object.__setattr__(self, "ambient_euler", ambient_euler)
-        object.__setattr__(self, "euler_ok", euler_ok)
 
 
 def e2_consistency(data: MorseBottData, naive: bool = False) -> E2Report:

@@ -312,7 +312,7 @@ def test_internal_check_failure_is_exit_5(monkeypatch):
 def test_degree_limit_exits_2():
     huge = "1" + "0" * 30
     assert run_cli("thom", f"point,{huge},orientable") == (
-        2, "", f"error: bundle rank must be at most 10000, got {huge}\n"
+        2, "", "error: bundle rank must be at most 10000, got 31 digits\n"
     )
     assert run_cli("morse", "s1-moebius", "--stabilize", "10001") == (
         2, "", "error: stabilization rank must be at most 10000, got 10001\n"
@@ -341,3 +341,29 @@ def test_morse_differential_shape_exit_2(tmp_path):
     p = tmp_path / "shape.json"
     p.write_text(json.dumps(doc))
     assert run_cli("morse", str(p)) == (2, "", "error: d_1 must be 2x1, got 1x1\n")
+
+
+def test_degrees_on_the_command_line_have_one_spelling():
+    for argv, what, text in [
+        (("homology", "rp:03"), "space: dimension", "03"),
+        (("thom", "point,01,orientable"), "bundle rank", "01"),
+        (("thom", "point, 01 ,orientable"), "bundle rank", "01"),
+        (("morse", "s1-moebius", "--stabilize", "01"), "stabilization rank", "01"),
+        (("morse", "s1-moebius", "--stabilize", "00"), "stabilization rank", "00"),
+    ]:
+        assert run_cli(*argv) == (2, "", f"error: {what} must be an integer, got {text!r}\n"), argv
+    assert run_cli("morse", "s1-moebius", "--stabilize", "0")[0] == 0
+
+
+def test_long_degrees_on_the_command_line_give_the_degree_message():
+    # int() would refuse these with Python's own "Exceeds the limit" text
+    nines = "9" * 5000
+    assert run_cli("homology", f"rp:{nines}") == (
+        2, "", "error: space: dimension must be at most 10000, got 5000 digits\n"
+    )
+    assert run_cli("morse", "s1-moebius", "--stabilize", nines) == (
+        2, "", "error: stabilization rank must be at most 10000, got 5000 digits\n"
+    )
+    assert run_cli("thom", f"point,{nines},orientable") == (
+        2, "", "error: bundle rank must be at most 10000, got 5000 digits\n"
+    )

@@ -137,14 +137,16 @@ def test_space_tags():
 def test_matrix_keys_must_be_ascii_digits():
     doc = json.loads(load("s1-moebius"))
     doc["morse"]["differentials"]["\u0661"] = doc["morse"]["differentials"].pop("1")
-    with pytest.raises(DocumentError, match="keys"):
+    with pytest.raises(DocumentError) as exc:
         parse_document(json.dumps(doc))
+    assert str(exc.value) == "morse.differentials key must be an integer, got '\u0661'"
 
     doc = json.loads(load("s1-moebius"))
-    (twist,) = doc["morse"]["twists"].values()
+    twist = doc["morse"]["twists"]["moebius"]
     twist["\u0661"] = twist.pop("1")
-    with pytest.raises(DocumentError, match="keys"):
+    with pytest.raises(DocumentError) as exc:
         parse_document(json.dumps(doc))
+    assert str(exc.value) == "twist 'moebius' key must be an integer, got '\u0661'"
 
 
 def test_huge_json_integer_is_a_document_error(tmp_path):
@@ -273,7 +275,7 @@ def test_missing_minimum_warns_once_per_document():
 
 def test_matrix_keys_are_bounded_degrees(tmp_path):
     over, long_key = str(MAX_DEGREE + 1), "0" + "9" * 5000
-    for key, got in [(over, over), (long_key, "5000 digits")]:
+    for key, got in [(over, over), (long_key, "5001 digits")]:
         for where in ("morse.differentials", "twist 'moebius'"):
             doc = json.loads(load("s1-moebius"))
             block = doc["morse"]["differentials"]
@@ -286,5 +288,65 @@ def test_matrix_keys_are_bounded_degrees(tmp_path):
     p = tmp_path / "long-key.json"
     p.write_text(json.dumps(doc))
     assert run_cli("morse", str(p)) == (
-        2, "", f"error: twist 'moebius' key must be at most {MAX_DEGREE}, got 5000 digits\n"
+        2, "", f"error: twist 'moebius' key must be at most {MAX_DEGREE}, got 5001 digits\n"
     )
+
+
+MOEBIUS_D1 = '"1": {"rows": 2, "cols": 2, "entries": [1, -1, -1, 1]}'
+MOEBIUS_TWIST = '"1": {"rows": 2, "cols": 2, "entries": [1, 1, 1, -1]}'
+ZERO = '{"rows": 2, "cols": 2, "entries": [0, 0, 0, 0]}'
+
+
+def test_each_degree_has_one_spelling(tmp_path):
+    # were "01" read as "1", the later of two matrices for one degree
+    # would silently replace the other
+    text = load("s1-moebius")
+    for old, new, what in [
+        (MOEBIUS_D1, f'{MOEBIUS_D1}, "01": {ZERO}', "morse.differentials"),
+        (MOEBIUS_TWIST, f'{MOEBIUS_TWIST}, "01": {ZERO}', "twist 'moebius'"),
+        (MOEBIUS_D1, MOEBIUS_D1.replace('"1"', '"01"'), "morse.differentials"),
+    ]:
+        assert old in text
+        bad = text.replace(old, new)
+        message = f"{what} key must be an integer, got '01'"
+        with pytest.raises(DocumentError) as exc:
+            parse_document(bad)
+        assert str(exc.value) == message
+        p = tmp_path / "leading-zero.json"
+        p.write_text(bad)
+        assert run_cli("morse", str(p)) == (2, "", f"error: {message}\n")
+    for bad in ("rp:03", "sphere:00", "sphere:01"):
+        with pytest.raises(DocumentError, match=r"^space: dimension must be an integer, got '0"):
+            parse_space(bad)
+    assert parse_space("rp:10") == RealProjective(10)
+
+
+def test_long_space_tag_gives_the_degree_message():
+    with pytest.raises(DocumentError) as exc:
+        parse_space("rp:" + "9" * 5000)
+    assert str(exc.value) == f"space: dimension must be at most {MAX_DEGREE}, got 5000 digits"
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "key"),
+    [
+        ('"format": 1,', '"format": 1, "format": 1,', "format"),
+        (MOEBIUS_D1, MOEBIUS_D1.replace('"rows": 2,', '"rows": 2, "rows": 2,'), "rows"),
+        (MOEBIUS_D1, f"{MOEBIUS_D1}, {MOEBIUS_D1}", "1"),
+        (MOEBIUS_D1, f'{MOEBIUS_D1}, "1": {ZERO}', "1"),
+        (MOEBIUS_TWIST, f'{MOEBIUS_TWIST}, "1": {ZERO}', "1"),
+    ],
+    ids=["top-level", "matrix", "differentials-equal", "differentials", "twist"],
+)
+def test_duplicate_keys_are_refused(tmp_path, old, new, key):
+    text = load("s1-moebius")
+    assert old in text
+    bad = text.replace(old, new, 1)
+    message = f"invalid JSON: duplicate key {key!r}"
+    with pytest.raises(DocumentError) as exc:
+        parse_document(bad)
+    assert str(exc.value) == message
+    p = tmp_path / "duplicate.json"
+    p.write_text(bad)
+    for command in ("audit", "morse"):
+        assert run_cli(command, str(p)) == (2, "", f"error: {message}\n")

@@ -182,3 +182,57 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+STORE_ONLY = (Holds, FailsNotDivisible, FailsNegativeCoefficient, E2Report, ThomIsoReport, Explicit)
+
+
+def test_store_only_classes_inherit_the_base_init():
+    from mbaudit._value import Value
+
+    assert "__init__" in Value.__dict__
+    for cls in STORE_ONLY + (Point, Torus2):
+        assert "__init__" not in cls.__dict__, cls.__name__
+
+
+def test_base_init_binds_by_position_and_by_name():
+    q = IntPoly([0, 1, -1, 1])
+    fields = dict(
+        total_free_rank=4, ambient_rank=2, rank_bound_ok=True,
+        euler_sum=0, ambient_euler=0, euler_ok=True,
+    )
+    mixed = E2Report(4, 2, True, euler_sum=0, ambient_euler=0, euler_ok=True)
+    assert E2Report(*fields.values()) == E2Report(**fields) == mixed
+    assert (
+        FailsNegativeCoefficient(2, q)
+        == FailsNegativeCoefficient(degree=2, quotient=q)
+        == FailsNegativeCoefficient(quotient=q, degree=2)
+        == FailsNegativeCoefficient(2, quotient=q)
+    )
+    assert FailsNegativeCoefficient(quotient=q, degree=2).__match_args__ == ("degree", "quotient")
+    assert Point() == Point()
+
+
+@pytest.mark.parametrize(
+    ("args", "kwargs"),
+    [
+        ((2,), {}),  # missing
+        ((2, IntPoly([1]), 3), {}),  # extra
+        ((2,), {"quotient": IntPoly([1]), "chi_gap": 0}),  # unknown
+        ((), {"degree": 2}),  # missing, given by name
+        ((2, IntPoly([1])), {"degree": 2}),  # given twice
+        ((2,), {"degree": 2}),  # given twice, one missing
+    ],
+    ids=["missing", "extra", "unknown", "missing-named", "twice", "twice-and-missing"],
+)
+def test_base_init_refuses_a_bad_field_list(args, kwargs):
+    message = r"^FailsNegativeCoefficient\(degree, quotient\) takes each field once$"
+    with pytest.raises(TypeError, match=message):
+        FailsNegativeCoefficient(*args, **kwargs)
+
+
+def test_fieldless_values_take_no_arguments():
+    for cls in (Point, Torus2):
+        for args, kwargs in [((1,), {}), ((), {"n": 1})]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
