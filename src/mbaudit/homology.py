@@ -98,22 +98,6 @@ class IntegerMatrix(Value):
             raise ValueError("ragged rows")
         return IntegerMatrix(len(rows), ncols, [e for r in rows for e in r])
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> IntegerMatrix:
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -138,13 +122,6 @@ class IntegerMatrix(Value):
             for j, y in other_rows[idx % n]:
                 out[base + j] += x * y
         return IntegerMatrix(self.rows, p, out)
-
-    def entrywise_product(self, other: IntegerMatrix) -> IntegerMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("entrywise product needs equal shapes")
-        return IntegerMatrix(
-            self.rows, self.cols, [a * b for a, b in zip(self.entries, other.entries)]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +360,6 @@ class IntegerChainComplex(Value):
     def top_degree(self) -> int:
         return len(self.ranks) - 1
 
-    def rank(self, k: int) -> int:
-        return self.ranks[k] if 0 <= k <= self.top_degree else 0
-
-    def boundary_map(self, k: int) -> IntegerMatrix:
-        """d_k, a zero matrix of the right shape outside 1..top."""
-        if 1 <= k <= self.top_degree:
-            return self.boundaries[k - 1]
-        return IntegerMatrix.zeros(self.rank(k - 1), self.rank(k))
-
     def euler_characteristic(self) -> int:
         return sum(r if k % 2 == 0 else -r for k, r in enumerate(self.ranks))
 
@@ -455,29 +423,14 @@ class HomologyProfile(Value):
             return self.groups[k]
         return TRIVIAL_GROUP
 
-    def free_rank(self, k: int) -> int:
-        return self.group(k).free_rank
-
-    def torsion(self, k: int) -> tuple[int, ...]:
-        return self.group(k).torsion
-
     def shifted(self, r: int) -> HomologyProfile:
         """The same groups moved up r degrees."""
         if r < 0:
             raise ValueError("shift must be nonnegative")
         return HomologyProfile((TRIVIAL_GROUP,) * r + self.groups)
 
-    def total_free_rank(self) -> int:
-        return sum(g.free_rank for g in self.groups)
-
     def poincare_polynomial(self) -> IntPoly:
         return IntPoly([g.free_rank for g in self.groups])
-
-    def euler_characteristic(self) -> int:
-        return sum(
-            g.free_rank if k % 2 == 0 else -g.free_rank
-            for k, g in enumerate(self.groups)
-        )
 
 
 def homology(complex: IntegerChainComplex) -> HomologyProfile:

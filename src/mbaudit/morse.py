@@ -73,8 +73,10 @@ class MorseData(Value):
         if any(not isinstance(i, int) or isinstance(i, bool) or i < 0 for _, i in gens):
             raise ValueError("generator indices must be nonnegative integers")
         diffs = dict(differentials or {})
-        counts = self._counts(gens)
-        top = len(counts) - 1
+        top = max(i for _, i in gens)
+        counts = [0] * (top + 1)
+        for _, i in gens:
+            counts[i] += 1
         for k in diffs:
             if not isinstance(k, int) or k < 1 or k > top:
                 raise ValueError(f"differential key {k} out of range 1..{top}")
@@ -85,20 +87,9 @@ class MorseData(Value):
         # checks each shape and d∘d = 0 (raises ChainComplexError if not)
         object.__setattr__(self, "_complex", _complex_from_counts(counts, diffs))
 
-    @staticmethod
-    def _counts(gens: tuple[tuple[str, int], ...]) -> list[int]:
-        top = max(i for _, i in gens)
-        counts = [0] * (top + 1)
-        for _, i in gens:
-            counts[i] += 1
-        return counts
-
     @property
     def max_index(self) -> int:
-        return max(i for _, i in self.generators)
-
-    def differential_map(self) -> dict[int, IntegerMatrix]:
-        return dict(self.differentials)
+        return self._complex.top_degree
 
     def to_chain_complex(self) -> IntegerChainComplex:
         return self._complex
@@ -115,9 +106,6 @@ class SignTwist(Value):
             if any(e not in (1, -1) for e in s.entries):
                 raise ValueError(f"twist {k} has entries other than +1/-1")
         object.__setattr__(self, "signs", tuple(sorted(ss.items())))
-
-    def sign_map(self) -> dict[int, IntegerMatrix]:
-        return dict(self.signs)
 
 
 def morse_homology(data: MorseData) -> HomologyProfile:
@@ -136,9 +124,9 @@ def stabilize(data: MorseData, rank: int, twist: SignTwist | None = None) -> Mor
     """
     if rank < 0:
         raise ValueError("stabilization rank must be nonnegative")
-    diffs = data.differential_map()
+    diffs = dict(data.differentials)
     if twist is not None:
-        signs = twist.sign_map()
+        signs = dict(twist.signs)
         if set(signs) != set(diffs):
             raise ValueError(
                 f"twist keys {sorted(signs)} do not match differential keys {sorted(diffs)}"
@@ -149,7 +137,9 @@ def stabilize(data: MorseData, rank: int, twist: SignTwist | None = None) -> Mor
                 raise ValueError(
                     f"twist {k} must be {d.rows}x{d.cols}, got {s.rows}x{s.cols}"
                 )
-            diffs[k] = d.entrywise_product(s)
+            diffs[k] = IntegerMatrix(
+                d.rows, d.cols, [a * b for a, b in zip(d.entries, s.entries)]
+            )
     generators = tuple((label, index + rank) for label, index in data.generators)
     try:
         return MorseData(generators, {k + rank: d for k, d in diffs.items()})

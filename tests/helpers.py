@@ -1,5 +1,6 @@
-"""Shared test machinery: an independent homology oracle, a generator of
-random complexes with known homology, and a CLI runner.
+"""Shared test machinery: readers of matrix, complex and profile fields,
+an independent homology oracle, a generator of random complexes with
+known homology, and a CLI runner.
 
 The oracle deliberately shares no code with the Smith-normal-form route:
 free ranks come from fraction-free (Bareiss) elimination over the
@@ -49,6 +50,41 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 
 # ---------------------------------------------------------------------------
+# matrices and complexes read through their fields
+
+
+def matrix_rows(m: IntegerMatrix) -> list[list[int]]:
+    """The rows of ``m`` as lists, read off its row-major ``entries``."""
+    return [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
+
+
+def transpose(m: IntegerMatrix) -> IntegerMatrix:
+    es, c = m.entries, m.cols
+    return IntegerMatrix(c, m.rows, [es[i * c + j] for j in range(c) for i in range(m.rows)])
+
+
+def entrywise_product(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix(a.rows, a.cols, [x * y for x, y in zip(a.entries, b.entries)])
+
+
+def boundary(cx: IntegerChainComplex, k: int) -> IntegerMatrix:
+    """d_k of ``cx``, a zero matrix of the right shape outside 1..top."""
+    if 1 <= k <= cx.top_degree:
+        return cx.boundaries[k - 1]
+    rank = dict(enumerate(cx.ranks)).get
+    return IntegerMatrix.zeros(rank(k - 1, 0), rank(k, 0))
+
+
+def total_free_rank(profile: HomologyProfile) -> int:
+    return sum(g.free_rank for g in profile.groups)
+
+
+def euler_characteristic(profile: HomologyProfile) -> int:
+    """The alternating sum of the free ranks, read off the groups."""
+    return sum((-1) ** k * g.free_rank for k, g in enumerate(profile.groups))
+
+
+# ---------------------------------------------------------------------------
 # independent rank computations
 
 
@@ -59,7 +95,7 @@ def rank_over_rationals(m: IntegerMatrix) -> int:
     division by the previous pivot is exact and the entries stay
     integers no larger than the Hadamard bound.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows = matrix_rows(m)
     rank, prev = 0, 1
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
@@ -77,7 +113,7 @@ def rank_over_rationals(m: IntegerMatrix) -> int:
 
 
 def rank_mod2(m: IntegerMatrix) -> int:
-    rows = [[e % 2 for e in m.row(i)] for i in range(m.rows)]
+    rows = [[e % 2 for e in row] for row in matrix_rows(m)]
     rank = 0
     for col in range(m.cols):
         pivot = next((r for r in range(rank, m.rows) if rows[r][col]), None)
@@ -116,7 +152,7 @@ def invariant_factors_by_minors(m: IntegerMatrix) -> tuple[int, ...]:
     """Invariant factors as quotients of determinantal divisors: d_k is the
     gcd of the k x k minors and the k-th factor is d_k / d_(k-1).  The
     number of minors grows fast, so this is for small matrices only."""
-    rows = m.to_rows()
+    rows = matrix_rows(m)
     factors: list[int] = []
     prev = 1
     for k in range(1, min(m.rows, m.cols) + 1):
@@ -135,8 +171,8 @@ def oracle_free_and_even(cx: IntegerChainComplex) -> tuple[list[int], list[int]]
     """Free ranks and even-torsion-factor counts per degree, computed
     without Smith normal form."""
     top = cx.top_degree
-    rq = [rank_over_rationals(cx.boundary_map(k)) for k in range(top + 2)]
-    r2 = [rank_mod2(cx.boundary_map(k)) for k in range(top + 2)]
+    rq = [rank_over_rationals(boundary(cx, k)) for k in range(top + 2)]
+    r2 = [rank_mod2(boundary(cx, k)) for k in range(top + 2)]
     free, even = [], []
     prev_even = 0
     for k in range(top + 1):
@@ -152,8 +188,9 @@ def oracle_free_and_even(cx: IntegerChainComplex) -> tuple[list[int], list[int]]
 def assert_profile_matches_oracle(cx: IntegerChainComplex, profile: HomologyProfile) -> None:
     free, even = oracle_free_and_even(cx)
     for k in range(cx.top_degree + 1):
-        assert profile.free_rank(k) == free[k], f"free rank mismatch in degree {k}"
-        got_even = sum(1 for t in profile.torsion(k) if t % 2 == 0)
+        group = profile.group(k)
+        assert group.free_rank == free[k], f"free rank mismatch in degree {k}"
+        got_even = sum(1 for t in group.torsion if t % 2 == 0)
         assert got_even == even[k], f"even torsion count mismatch in degree {k}"
 
 

@@ -20,6 +20,8 @@ from mbaudit import (
     thom_pair_homology,
 )
 
+from helpers import euler_characteristic, total_free_rank
+
 TRIV = OrientationCharacter.TRIVIAL
 TW = OrientationCharacter.NONTRIVIAL
 
@@ -61,7 +63,7 @@ def test_tautological_pair_over_rp3_matches_reduced_rp4_oracle():
 def test_trivial_rank5_over_point():
     pair = thom_pair_homology(BundleDescriptor(Point(), 5, TRIV))
     assert pair.group(5) == AbelianGroup(1)
-    assert pair.total_free_rank() == 1
+    assert total_free_rank(pair) == 1
     assert pair.top_degree == 5
 
 
@@ -90,8 +92,8 @@ def test_euler_characteristic_sign_rule():
                 pair = thom_pair_homology(BundleDescriptor(space, rank, char))
                 base = homology(catalog_complex(space))
                 assert (
-                    pair.euler_characteristic()
-                    == (-1) ** rank * base.euler_characteristic()
+                    euler_characteristic(pair)
+                    == (-1) ** rank * euler_characteristic(base)
                 )
 
 
@@ -111,8 +113,8 @@ def test_full_normal_bundle_orientable_but_pair_still_twisted():
     # normal bundle does not make the pair homology the plain shift.
     tw = thom_pair_homology(BundleDescriptor(RealProjective(3), 1, TW))
     plain = homology(catalog_complex(RealProjective(3))).shifted(1)
-    assert tw.total_free_rank() == 0
-    assert plain.total_free_rank() == 2
+    assert total_free_rank(tw) == 0
+    assert total_free_rank(plain) == 2
 
 
 def test_bundle_validation():

@@ -30,11 +30,14 @@ from mbaudit import (
 from helpers import (
     assert_profile_matches_oracle,
     determinant,
+    euler_characteristic,
     growth_block,
     invariant_factors_by_minors,
+    matrix_rows,
     random_complex,
     rank_mod2,
     rank_over_rationals,
+    transpose,
 )
 
 TRIV = OrientationCharacter.TRIVIAL
@@ -87,7 +90,7 @@ def test_snf_transpose_invariance_random():
         m = IntegerMatrix(
             rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)]
         )
-        assert smith_normal_form(m).factors == smith_normal_form(m.transpose()).factors
+        assert smith_normal_form(m).factors == smith_normal_form(transpose(m)).factors
 
 
 def test_snf_agrees_with_determinantal_divisors_up_to_4x4():
@@ -118,9 +121,9 @@ def assert_snf_passes_independent_checks(m):
     assert sum(f % 2 for f in factors) == rank_mod2(m)
     assert all(f > 0 for f in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
-    assert smith_normal_form(m.transpose()).factors == factors
+    assert smith_normal_form(transpose(m)).factors == factors
     if m.rows == m.cols == len(factors):
-        assert math.prod(factors) == abs(determinant(m.to_rows()))
+        assert math.prod(factors) == abs(determinant(matrix_rows(m)))
 
 
 def test_snf_independent_checks_on_sparse_matrices():
@@ -293,8 +296,8 @@ def test_twisting_preserves_euler_characteristic():
         twisted = catalog_complex(space, TW)
         assert plain.euler_characteristic() == twisted.euler_characteristic()
         assert (
-            homology(plain).euler_characteristic()
-            == homology(twisted).euler_characteristic()
+            euler_characteristic(homology(plain))
+            == euler_characteristic(homology(twisted))
         )
 
 
@@ -302,7 +305,7 @@ def test_homology_euler_equals_cell_euler():
     rng = Random(31)
     for _ in range(50):
         cx, _ = random_complex(rng)
-        assert homology(cx).euler_characteristic() == cx.euler_characteristic()
+        assert euler_characteristic(homology(cx)) == cx.euler_characteristic()
 
 
 def test_inadmissible_characters_rejected():
@@ -335,8 +338,8 @@ def test_profile_trimming_and_shift():
     assert p.top_degree == 0
     assert p == HomologyProfile([AbelianGroup(1)])
     shifted = p.shifted(2)
-    assert shifted.free_rank(2) == 1
-    assert shifted.free_rank(0) == 0
+    assert shifted.group(2).free_rank == 1
+    assert shifted.group(0).free_rank == 0
     assert shifted.poincare_polynomial() == IntPoly([0, 0, 1])
 
 
@@ -372,10 +375,9 @@ def test_homology_matches_construction_and_oracle_on_random_complexes():
 
 def test_matrix_basics():
     m = M([[1, 2], [3, 4]])
-    assert m.entry(1, 0) == 3
-    assert m.transpose().row(0) == (1, 3)
+    assert m.entries == (1, 2, 3, 4)
     prod = m @ M([[1], [1]])
-    assert prod.to_rows() == [[3], [7]]
+    assert prod.entries == (3, 7)
     with pytest.raises(ValueError):
         m @ IntegerMatrix.zeros(3, 3)
     with pytest.raises(ValueError):
@@ -387,7 +389,8 @@ def test_matrix_basics():
 def dense_product(a, b):
     """Textbook triple loop, the reference for the sparse product."""
     return [
-        [sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) for j in range(b.cols)]
+        [sum(a.entries[i * a.cols + k] * b.entries[k * b.cols + j] for k in range(a.cols))
+         for j in range(b.cols)]
         for i in range(a.rows)
     ]
 
@@ -411,7 +414,7 @@ def test_sparse_product_matches_the_triple_loop():
         a, b = random_sparse(rng, rows, inner), random_sparse(rng, inner, cols)
         prod = a @ b
         assert (prod.rows, prod.cols) == (rows, cols)
-        assert [list(prod.row(i)) for i in range(rows)] == dense_product(a, b)
+        assert matrix_rows(prod) == dense_product(a, b)
         assert all(type(e) is int for e in prod.entries)
 
 
@@ -442,7 +445,7 @@ def test_unit_pivot_stops_the_scan_at_the_first_minimum():
     rng = Random(71)
     for _ in range(500):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        a = random_sparse(rng, rows, cols).to_rows()
+        a = matrix_rows(random_sparse(rng, rows, cols))
         t = rng.randint(0, min(rows, cols) - 1)
         assert _smallest_nonzero(a, t, rows, cols) == full_scan(a, t)
 

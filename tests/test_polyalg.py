@@ -27,16 +27,10 @@ def test_normalization():
     assert not IntPoly([0, 1]).is_zero()
 
 
-def test_degree_of_zero_is_an_error():
-    with pytest.raises(ValueError):
-        IntPoly().degree
-    assert IntPoly([0, 0, 5]).degree == 2
-
-
 def test_add_sub():
     a = IntPoly([1, 2, 3])
     b = IntPoly([0, -2, -3, 4])
-    assert a + b == IntPoly([1, 0, 0, 4])
+    assert a + b == b + a == IntPoly([1, 0, 0, 4])
     assert (a + b) - b == a
     assert a - a == IntPoly()
 
@@ -54,22 +48,13 @@ def test_mul_against_naive_convolution():
         for i, ca in enumerate(a.coeffs):
             for j, cb in enumerate(b.coeffs):
                 expect[i + j] = expect.get(i + j, 0) + ca * cb
-        prod = a * b
-        for k in range(12):
-            assert prod.coefficient(k) == expect.get(k, 0)
+        width = len(a.coeffs) + len(b.coeffs)
+        assert a * b == IntPoly([expect.get(k, 0) for k in range(width)])
 
 
 def test_scalar_mul():
     assert 3 * IntPoly([1, -1]) == IntPoly([3, -3])
     assert IntPoly([1, -1]) * 0 == IntPoly()
-
-
-def test_shift():
-    assert IntPoly([1, 0, 0, 1]).shift(1) == IntPoly([0, 1, 0, 0, 1])
-    assert IntPoly([5]).shift(0) == IntPoly([5])
-    assert IntPoly().shift(3) == IntPoly()
-    with pytest.raises(ValueError):
-        IntPoly([1]).shift(-1)
 
 
 def test_evaluate_is_a_ring_homomorphism():
@@ -91,14 +76,20 @@ def test_division_examples():
 
 def test_division_rejects_exactly_when_value_at_minus_one_is_nonzero():
     rng = Random(13)
+    degrees = set()
     for _ in range(500):
         p = random_poly(rng)
-        if p.evaluate(-1) == 0:
+        remainder = p.evaluate(-1)
+        if remainder == 0:
             q = divide_by_one_plus_t(p)
             assert ONE_PLUS_T * q == p
         else:
-            with pytest.raises(NotDivisibleError):
+            # the message carries p(-1) itself, whatever the parity of the degree
+            with pytest.raises(NotDivisibleError) as exc:
                 divide_by_one_plus_t(p)
+            assert str(exc.value).endswith(f"(remainder {remainder})")
+            degrees.add(len(p.coeffs) % 2)
+    assert degrees == {0, 1}  # refusals of odd and of even degree both drawn
 
 
 def test_division_round_trip():
@@ -121,7 +112,7 @@ def test_rendering():
 def test_coefficients_are_exact_big_integers():
     big = 10**40
     p = IntPoly([big, big])
-    assert (p * p).coefficient(1) == 2 * big * big
+    assert (p * p).coeffs[1] == 2 * big * big
 
 
 def test_coefficients_are_exactly_int():
