@@ -78,7 +78,7 @@ class MorseData(Value):
         for _, i in gens:
             counts[i] += 1
         for k in diffs:
-            if not isinstance(k, int) or k < 1 or k > top:
+            if type(k) is not int or k < 1 or k > top:
                 raise ValueError(f"differential key {k} out of range 1..{top}")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(

@@ -195,15 +195,11 @@ def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
     return Holds(quotient)
 
 
-def e2_page(data: MorseBottData, naive: bool = False) -> tuple[HomologyProfile, ...]:
-    """Pair homology of each negative bundle, in filtration order.
-
-    With ``naive=True`` every orientation character is forced trivial,
-    which reproduces the bookkeeping error the local characters fix.
-    """
+def e2_page(data: MorseBottData) -> tuple[HomologyProfile, ...]:
+    """Pair homology of each negative bundle, in filtration order."""
     page = []
     for crit in data.criticals:
-        b = BundleDescriptor(crit.space, crit.index) if naive else crit._negative_bundle
+        b = crit._negative_bundle
         page.append(thom_pair_homology(b, data._homology(b.base, b.character)))
     return tuple(page)
 

@@ -66,14 +66,12 @@ class IntPoly(Value):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
+    def __mul__(self, other: IntPoly) -> IntPoly:
         """Product, by convolution of coefficients.
 
         >>> str(IntPoly([1, 1]) * IntPoly([0, 1, -1, 1]))
         't + t^4'
         """
-        if isinstance(other, int) and not isinstance(other, bool):
-            return IntPoly([c * other for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -85,8 +83,6 @@ class IntPoly(Value):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def evaluate(self, x: int) -> int:
         """Value at an integer point, by Horner's rule."""

@@ -186,7 +186,7 @@ def test_morse_twist_shape_mismatch_exit_2(tmp_path):
     assert code == 2
 
 
-def test_fixtures_list():
+def test_fixtures_list(tmp_path, monkeypatch):
     code, out, _ = run_cli("fixtures", "list")
     assert code == 0
     lines = out.splitlines()
@@ -194,6 +194,9 @@ def test_fixtures_list():
     assert names == sorted(names)
     for expected in ("rp5-counterexample", "s1-moebius", "torus-perfect"):
         assert expected in names
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("MBAUDIT_FIXTURES", str(missing))
+    assert run_cli("fixtures", "list") == (2, "", f"no fixtures directory at {missing}\n")
 
 
 def test_cli_golden_replay():

@@ -95,13 +95,32 @@ def test_matrix_entries_must_be_integers():
         parse_document(json.dumps(doc))
 
 
-def test_invalid_json_and_shapes():
+def test_invalid_json_and_shapes(tmp_path):
     with pytest.raises(DocumentError, match="invalid JSON"):
         parse_document("{nope")
     doc = json.loads(load("torus-perfect"))
     doc["morse"]["differentials"]["1"]["cols"] = 3
     with pytest.raises(DocumentError):
         parse_document(json.dumps(doc))
+    p = tmp_path / "shape.json"
+    for name, edit, message in [
+        ("torus-perfect", lambda d: d["morse"]["differentials"]["1"].update(entries="0 0"),
+         "morse.differentials[1].entries must be a list"),
+        ("rp5-counterexample", lambda d: d.update(ambient={"ranks": 1, "boundaries": []}),
+         "ambient: ranks and boundaries must be lists"),
+        ("rp5-counterexample", lambda d: d.update(ambient={"ranks": [1], "boundaries": {}}),
+         "ambient: ranks and boundaries must be lists"),
+        ("rp5-counterexample", lambda d: d["criticals"][0].update(negative_character=1),
+         "negative_character must be a string"),
+        ("rp5-counterexample", lambda d: d.update(criticals={}), "criticals must be a list"),
+        ("s1-moebius", lambda d: d["morse"].update(generators={}), "morse.generators must be a list"),
+        ("s1-moebius", lambda d: d["morse"]["twists"].update({"": {}}),
+         "twist names must be nonempty strings"),
+    ]:
+        doc = json.loads(load(name))
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        assert run_cli("audit", str(p)) == (2, "", f"error: {message}\n")
 
 
 def test_explicit_ambient_inline():

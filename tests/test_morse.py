@@ -81,6 +81,8 @@ def test_validation_errors():
         MorseData([("a", 0), ("b", 1)], {1: IntegerMatrix.zeros(2, 2)})
     with pytest.raises(ValueError):
         MorseData([("a", 0), ("b", 1)], {2: IntegerMatrix.zeros(0, 0)})
+    with pytest.raises(ValueError, match="differential key True"):
+        MorseData([("a", 0), ("b", 1)], {True: IntegerMatrix(1, 1, (2,))})
 
 
 def test_raw_dd_violation_is_a_value_error():

@@ -52,11 +52,6 @@ def test_mul_against_naive_convolution():
         assert a * b == IntPoly([expect.get(k, 0) for k in range(width)])
 
 
-def test_scalar_mul():
-    assert 3 * IntPoly([1, -1]) == IntPoly([3, -3])
-    assert IntPoly([1, -1]) * 0 == IntPoly()
-
-
 def test_evaluate_is_a_ring_homomorphism():
     rng = Random(11)
     for _ in range(300):
