@@ -27,6 +27,7 @@ from .homology import (
 )
 from .morse import InconsistentTwistError, morse_homology, stabilize
 from .morsebott import (
+    MODES,
     FailsNegativeCoefficient,
     FailsNotDivisible,
     Holds,
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="audit the counting polynomial of a document")
     p.add_argument("document", help="path or fixture name")
-    p.add_argument("--mode", choices=["untwisted", "local"], default="untwisted")
+    p.add_argument("--mode", choices=MODES, default="untwisted")
     p.add_argument(
         "--naive",
         action="store_true",

@@ -78,14 +78,16 @@ def _require_mapping(obj: Any, what: str) -> Mapping[str, Any]:
     return obj
 
 
-def _check_keys(obj: Mapping[str, Any], what: str, required: set[str], optional: set[str] = frozenset()) -> None:
-    keys = set(obj)
+def _check_keys(obj: Any, what: str, required: set[str], optional: set[str] = frozenset()) -> Mapping[str, Any]:
+    """An object with every required key and no key beyond the optional ones."""
+    keys = set(_require_mapping(obj, what))
     unknown = keys - required - optional
     if unknown:
         raise DocumentError(f"unknown {what} field(s): {', '.join(sorted(unknown))}")
     missing = required - keys
     if missing:
         raise DocumentError(f"missing {what} field(s): {', '.join(sorted(missing))}")
+    return obj
 
 
 def _int(obj: Any, what: str) -> int:
@@ -113,8 +115,7 @@ def parse_degree_text(text: str, what: str) -> int:
 
 
 def parse_matrix(obj: Any, what: str = "matrix") -> IntegerMatrix:
-    m = _require_mapping(obj, what)
-    _check_keys(m, what, {"rows", "cols", "entries"})
+    m = _check_keys(obj, what, {"rows", "cols", "entries"})
     rows = _int(m["rows"], f"{what}.rows")
     cols = _int(m["cols"], f"{what}.cols")
     entries = m["entries"]
@@ -142,8 +143,7 @@ def parse_space(obj: Any, what: str = "space") -> Space:
             except ValueError as exc:
                 raise DocumentError(f"{what}: {exc}") from exc
         raise DocumentError(f"{what}: unknown space tag {obj!r}")
-    m = _require_mapping(obj, what)
-    _check_keys(m, what, {"ranks", "boundaries"})
+    m = _check_keys(obj, what, {"ranks", "boundaries"})
     if not isinstance(m["ranks"], list) or not isinstance(m["boundaries"], list):
         raise DocumentError(f"{what}: ranks and boundaries must be lists")
     ranks = [_int(r, f"{what} rank") for r in m["ranks"]]
@@ -171,14 +171,12 @@ def _parse_indexed_matrices(obj: Any, what: str) -> dict[int, IntegerMatrix]:
 
 
 def _parse_morse(obj: Any) -> tuple[MorseData, dict[str, SignTwist]]:
-    m = _require_mapping(obj, "morse")
-    _check_keys(m, "morse", {"generators"}, {"differentials", "twists"})
+    m = _check_keys(obj, "morse", {"generators"}, {"differentials", "twists"})
     if not isinstance(m["generators"], list):
         raise DocumentError("morse.generators must be a list")
     generators = []
     for g in m["generators"]:
-        gm = _require_mapping(g, "generator")
-        _check_keys(gm, "generator", {"label", "index"})
+        gm = _check_keys(g, "generator", {"label", "index"})
         if not isinstance(gm["label"], str):
             raise DocumentError("generator label must be a string")
         generators.append((gm["label"], parse_degree(gm["index"], "generator index")))
@@ -208,8 +206,7 @@ def parse_document(text: str) -> AuditDocument:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply") from None
-    m = _require_mapping(obj, "document")
-    _check_keys(m, "document", {"format", "ambient"}, {"criticals", "morse", "bundle"})
+    m = _check_keys(obj, "document", {"format", "ambient"}, {"criticals", "morse", "bundle"})
     if type(m["format"]) is not int or m["format"] != FORMAT_VERSION:  # not True, not 1.0
         raise DocumentError(f"unsupported format {m['format']!r}, expected {FORMAT_VERSION}")
     ambient = parse_space(m["ambient"], "ambient")
@@ -220,8 +217,7 @@ def parse_document(text: str) -> AuditDocument:
             raise DocumentError("criticals must be a list")
         crits = []
         for c in m["criticals"]:
-            cm = _require_mapping(c, "critical")
-            _check_keys(cm, "critical", {"space", "index", "negative_character"})
+            cm = _check_keys(c, "critical", {"space", "index", "negative_character"})
             crits.append(
                 CriticalSubmanifold(
                     parse_space(cm["space"], "critical space"),
@@ -238,8 +234,7 @@ def parse_document(text: str) -> AuditDocument:
 
     bundle = None
     if "bundle" in m:
-        bm = _require_mapping(m["bundle"], "bundle")
-        _check_keys(bm, "bundle", {"base", "rank", "character"})
+        bm = _check_keys(m["bundle"], "bundle", {"base", "rank", "character"})
         bundle = BundleDescriptor(
             parse_space(bm["base"], "bundle base"),
             parse_degree(bm["rank"], "bundle rank"),

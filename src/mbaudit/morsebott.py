@@ -19,7 +19,8 @@ MB is the sum of the Poincare polynomials of the E2 page, the pair
 homology of each piece's negative bundle (the naive page, every character
 trivial, in ``untwisted`` mode), and the page's rank and Euler report is
 read off MB and P.  Each :class:`MorseBottData` keeps one memo table, the
-homology of each (space, character) pair.
+homology of each (space, character) pair, and builds MB in both modes
+once, in one pass over its pieces, when it is built.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class MorseBottData(Value):
     """Ambient space plus critical submanifolds in filtration order.
 
     Homology profiles are memoized per object in a table that is not a
-    field, so equality, hashing and repr see only the data.
+    field, and so is MB in each mode, so equality, hashing and repr see
+    only the data.
     """
 
     ambient: Space
@@ -107,6 +109,15 @@ class MorseBottData(Value):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "criticals", crits)
         object.__setattr__(self, "_profiles", {})
+        mb: dict[str, list[int]] = {mode: [] for mode in MODES}
+        for c in crits:  # one pass: each piece's untwisted and local profile
+            for mode, character in zip(MODES, (OrientationCharacter.TRIVIAL, c.negative_character)):
+                coeffs = mb[mode]
+                groups = self._homology(c.space, character).groups
+                coeffs.extend([0] * (c.index + len(groups) - len(coeffs)))
+                for k, group in enumerate(groups, start=c.index):
+                    coeffs[k] += group.free_rank
+        object.__setattr__(self, "_mb", {mode: IntPoly(coeffs) for mode, coeffs in mb.items()})
 
     def _homology(
         self,
@@ -128,27 +139,12 @@ class MorseBottData(Value):
         return self.ambient_homology().poincare_polynomial()
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
 def mb_polynomial(data: MorseBottData, mode: str = "untwisted") -> IntPoly:
     """The counting polynomial: the sum of the Poincare polynomials of the
     E2 page, taken over the naive page in ``untwisted`` mode."""
-    _check_mode(mode)
-    coeffs: list[int] = []
-    for crit in data.criticals:
-        character = (
-            crit.negative_character if mode == "local" else OrientationCharacter.TRIVIAL
-        )
-        groups = data._homology(crit.space, character).groups
-        top = crit.index + len(groups)
-        if len(coeffs) < top:
-            coeffs.extend([0] * (top - len(coeffs)))
-        for k, group in enumerate(groups, start=crit.index):
-            coeffs[k] += group.free_rank
-    return IntPoly(coeffs)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return data._mb[mode]
 
 
 class InequalityVerdict:

@@ -378,6 +378,24 @@ def test_audit_builds_each_pair_once(monkeypatch):
     }
 
 
+def test_mb_and_the_report_read_no_piece_once_built(monkeypatch):
+    data = rp5_data()
+    asked = []
+    original = MorseBottData._homology
+
+    def recording(self, space, character=TRIV):
+        asked.append((space, character))
+        return original(self, space, character)
+
+    monkeypatch.setattr(MorseBottData, "_homology", recording)
+    for mode in MODES:
+        mb_polynomial(data, mode)
+    e2_consistency(data)
+    e2_consistency(data, naive=True)
+    # MB in both modes was built with the data; only P is looked up
+    assert set(asked) == {(RealProjective(5), TRIV)}
+
+
 def test_audited_data_still_compares_and_hashes_by_value():
     audited, fresh = rp5_data(), rp5_data()
     mb_polynomial(audited, "local")
@@ -406,8 +424,8 @@ def test_e2_consistency_equals_the_page_sums_on_every_fixture():
 
     for name in FIXTURE_NAMES:
         for mode in MODES:
-            # a fresh document per mode, audited first in that mode, so the
-            # memo holds different profiles when the report is taken
+            # a fresh document per mode, audited first in that mode; the
+            # report reads the MB built with the data, whatever came first
             data = load_document(FIXTURES / f"{name}.json").morse_bott()
             mb_polynomial(data, mode)
             for naive in (False, True):

@@ -1,11 +1,13 @@
 """Property tests: the degree reader, the CLI exit-code contract on any
-JSON file, and the document round trip.
+JSON file, and the document round trip on catalog documents and on
+explicit spaces with Morse blocks.
 
 Runs are reproducible and leave no example database: every test is
 derandomized with a bounded number of examples.
 """
 
 import json
+from itertools import islice
 from random import Random
 
 from hypothesis import given, settings
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from mbaudit import DocumentError, parse_document, serialize_document
 from mbaudit.document import MAX_DEGREE, parse_degree_text
 
-from helpers import FIXTURES, FIXTURE_NAMES, run_cli
+import workloads
+from helpers import FIXTURES, FIXTURE_NAMES, REPO, run_cli
 from test_morsebott import random_catalog_document
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -102,3 +105,17 @@ def test_catalog_documents_round_trip(seed):
     second = parse_document(text)
     assert second == first
     assert serialize_document(second) == text
+
+
+@settings(PROPERTY, max_examples=6)
+@given(st.integers(0, 2**32 - 1))
+def test_explicit_documents_round_trip(seed):
+    # one cycle of the stream: two inline multi-boundary ambients, each with
+    # a Morse block and its `gauge` twist, then a growth-block ambient
+    items = workloads.ExplicitComplexes(REPO, seed, 5.0).items(Random(seed))
+    for item in islice(items, 3):
+        first = parse_document(item["input"])
+        text = serialize_document(first)
+        second = parse_document(text)
+        assert second == first
+        assert serialize_document(second) == text
