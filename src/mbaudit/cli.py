@@ -69,11 +69,7 @@ def _print_table(profile: HomologyProfile, top: int) -> None:
 
 
 def _profile_summary(profile: HomologyProfile) -> str:
-    parts = [
-        f"H_{k} = {profile.group(k)}"
-        for k in range(profile.top_degree + 1)
-        if not profile.group(k).is_trivial()
-    ]
+    parts = [f"H_{k} = {group}" for k, group in enumerate(profile.groups) if not group.is_trivial()]
     return ", ".join(parts) if parts else "0"
 
 
@@ -245,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentTwistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DocumentError, ValueError, OSError) as exc:
+    except (Warning, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -18,9 +18,11 @@ back, (1 + t) * Q == MB - P; the check is kept even in production.
 MB is the sum of the Poincare polynomials of the E2 page, the pair
 homology of each piece's negative bundle (the naive page, every character
 trivial, in ``untwisted`` mode), and the page's rank and Euler report is
-read off MB and P.  Each :class:`MorseBottData` keeps one memo table, the
-homology of each (space, character) pair, and builds MB in both modes
-once, in one pass over its pieces, when it is built.
+read off MB and P.  A :class:`MorseBottData` computes the ambient
+homology, MB in both modes and the E2 page once, when it is built, from
+the homology of each (space, character) pair it needs, each computed
+once.  Every reader returns what was built, so no value changes after
+it is built.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ class CriticalSubmanifold(Value):
 class MorseBottData(Value):
     """Ambient space plus critical submanifolds in filtration order.
 
-    Homology profiles are memoized per object in a table that is not a
-    field, and so is MB in each mode, so equality, hashing and repr see
-    only the data.
+    The ambient homology, MB in each mode and the E2 page are computed
+    when the data is built and kept in attributes that are not fields,
+    so equality, hashing and repr see only the data, and no reader
+    computes anything.
     """
 
     ambient: Space
@@ -83,6 +86,7 @@ class MorseBottData(Value):
 
     def __init__(self, ambient: Space, criticals: Iterable[CriticalSubmanifold]) -> None:
         crits = tuple(criticals)
+        has_min = any(c.index == 0 for c in crits)
         ambient_dim = space_dim(ambient)
         if ambient_dim is not None:
             for c in crits:
@@ -92,7 +96,6 @@ class MorseBottData(Value):
                         f"critical {space_tag(c.space)} at index {c.index} does not fit in "
                         f"a {ambient_dim}-dimensional ambient space"
                     )
-            has_min = any(c.index == 0 for c in crits)
             has_max = any(c.index + space_dim(c.space) == ambient_dim for c in crits)
             if not (has_min and has_max):
                 raise ValueError(
@@ -101,39 +104,30 @@ class MorseBottData(Value):
                 )
         elif not crits:
             warnings.warn("no critical submanifolds given", stacklevel=2)
-        else:
-            if not any(c.index == 0 for c in crits):
-                warnings.warn(
-                    "no index-0 critical submanifold; minimum missing?", stacklevel=2
-                )
+        elif not has_min:
+            warnings.warn("no index-0 critical submanifold; minimum missing?", stacklevel=2)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "criticals", crits)
-        object.__setattr__(self, "_profiles", {})
+        trivial = OrientationCharacter.TRIVIAL
+        pairs = [(ambient, trivial)]
+        pairs += [(c.space, ch) for c in crits for ch in (trivial, c.negative_character)]
+        profiles = {pair: homology(catalog_complex(*pair)) for pair in dict.fromkeys(pairs)}
         mb: dict[str, list[int]] = {mode: [] for mode in MODES}
-        for c in crits:  # one pass: each piece's untwisted and local profile
-            for mode, character in zip(MODES, (OrientationCharacter.TRIVIAL, c.negative_character)):
+        page = []
+        for c in crits:  # one pass: each piece's untwisted and local profile, and its page term
+            for mode, character in zip(MODES, (trivial, c.negative_character)):
                 coeffs = mb[mode]
-                groups = self._homology(c.space, character).groups
+                groups = profiles[c.space, character].groups
                 coeffs.extend([0] * (c.index + len(groups) - len(coeffs)))
                 for k, group in enumerate(groups, start=c.index):
                     coeffs[k] += group.free_rank
+            page.append(thom_pair_homology(c._negative_bundle, profiles[c.space, c.negative_character]))
+        object.__setattr__(self, "_ambient_homology", profiles[ambient, trivial])
         object.__setattr__(self, "_mb", {mode: IntPoly(coeffs) for mode, coeffs in mb.items()})
-
-    def _homology(
-        self,
-        space: Space,
-        character: OrientationCharacter = OrientationCharacter.TRIVIAL,
-    ) -> HomologyProfile:
-        """Homology of a space with plain or twisted coefficients."""
-        key = (space, character)
-        profile = self._profiles.get(key)
-        if profile is None:
-            profile = homology(catalog_complex(space, character))
-            self._profiles[key] = profile
-        return profile
+        object.__setattr__(self, "_page", tuple(page))
 
     def ambient_homology(self) -> HomologyProfile:
-        return self._homology(self.ambient)
+        return self._ambient_homology
 
     def ambient_poincare(self) -> IntPoly:
         return self.ambient_homology().poincare_polynomial()
@@ -193,11 +187,7 @@ def check_inequalities(mb: IntPoly, p: IntPoly) -> InequalityVerdict:
 
 def e2_page(data: MorseBottData) -> tuple[HomologyProfile, ...]:
     """Pair homology of each negative bundle, in filtration order."""
-    page = []
-    for crit in data.criticals:
-        b = crit._negative_bundle
-        page.append(thom_pair_homology(b, data._homology(b.base, b.character)))
-    return tuple(page)
+    return data._page
 
 
 class E2Report(Value):

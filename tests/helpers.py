@@ -12,8 +12,9 @@ number of even torsion factors per degree is recovered from its mod-2
 ranks via universal coefficients
 (dim_F2 H_k = free_k + t2_k + t2_{k-1}).  What stays here converts
 their plain lists and tuples to and from mbaudit's values, and adds the
-two routes the benchmark does not take: that universal-coefficient step
-and invariant factors from determinantal divisors.
+three routes the benchmark does not take: that universal-coefficient
+step, invariant factors from determinantal divisors, and their p-adic
+valuations from elimination over Z/p^e.
 """
 
 from __future__ import annotations
@@ -117,6 +118,46 @@ def invariant_factors_by_minors(m: IntegerMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def p_valuation(n: int, p: int) -> int:
+    """The exponent of p in a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def local_valuations(rows: int, cols: int, entries, p: int, e: int) -> list[int]:
+    """The p-adic valuations, each below e, of the invariant factors that
+    are nonzero mod p^e, in increasing order, by local elimination over
+    Z/p^e: pivot on an entry of least valuation, clear its column with a
+    unit multiple of its row, record the valuation, and drop its row and
+    column.  A factor of valuation e or more is zero mod p^e and is not
+    listed, so a caller raises e until as many valuations as the rank come
+    back."""
+    q = p**e
+    a = [[x % q for x in entries[i * cols : (i + 1) * cols]] for i in range(rows)]
+    found: list[int] = []
+    v = 0  # the least valuation left never drops below the last pivot's
+    while v < e:
+        step = p ** (v + 1)
+        at = next(((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x % step), None)
+        if at is None:
+            v += 1
+            continue
+        i, j = at
+        pivot, low = a.pop(i), p**v
+        inverse = pow(pivot[j] // low, -1, q)
+        for row in a:
+            f = row[j] // low * inverse % q
+            if f:
+                row[:] = [(x - f * y) % q for x, y in zip(row, pivot)]
+        for row in a:
+            del row[j]
+        found.append(v)
+    return found
+
+
 def oracle_free_and_even(cx: IntegerChainComplex) -> tuple[list[int], list[int]]:
     """Free ranks and even-torsion-factor counts per degree, computed
     without Smith normal form."""
@@ -162,6 +203,28 @@ def random_complex(rng: Random, max_rank: int = 8) -> tuple[IntegerChainComplex,
         ),
     )
     return cx, HomologyProfile(AbelianGroup(free, torsion) for free, torsion in profile)
+
+
+def planted_torsion_matrix(rng: Random) -> tuple[IntegerMatrix, tuple[int, ...]]:
+    """A matrix of at most 10 x 10 whose rank is 1 to half its smaller
+    side, rounded up, and whose invariant factors are a planted divisor
+    chain, scrambled by unimodular row and column operations."""
+    rows, cols = rng.randint(1, 10), rng.randint(1, 10)
+    factors, f = [], 1
+    for _ in range(rng.randint(1, (min(rows, cols) + 1) // 2)):
+        f *= rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 9))
+        factors.append(f)
+    a = [[factors[i] if i == j < len(factors) else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(2 * (rows + cols)):
+        c = rng.choice((-2, -1, 1, 2))
+        if rows > 1 and (cols == 1 or rng.random() < 0.5):  # row i += c * row k
+            i, k = rng.sample(range(rows), 2)
+            a[i] = [x + c * y for x, y in zip(a[i], a[k])]
+        elif cols > 1:  # column j += c * column k
+            j, k = rng.sample(range(cols), 2)
+            for row in a:
+                row[j] += c * row[k]
+    return IntegerMatrix(rows, cols, [x for row in a for x in row]), tuple(factors)
 
 
 def random_poly(rng: Random, max_degree: int = 6, lo: int = -4, hi: int = 6) -> IntPoly:

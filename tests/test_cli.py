@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -270,6 +271,21 @@ def test_format_true_exits_2(tmp_path):
     p = tmp_path / "format-true.json"
     p.write_text(json.dumps(doc))
     assert run_cli("audit", str(p)) == (2, "", "error: unsupported format True, expected 1\n")
+
+
+def test_a_library_warning_as_an_error_exits_2(tmp_path):
+    circle = {"ranks": [1, 1], "boundaries": [{"rows": 1, "cols": 1, "entries": [0]}]}
+    point_at_1 = {"space": "point", "index": 1, "negative_character": "orientable"}
+    p = tmp_path / "doc.json"
+    for criticals, message in [
+        ([], "no critical submanifolds given"),
+        ([point_at_1], "no index-0 critical submanifold; minimum missing?"),
+    ]:
+        p.write_text(json.dumps({"format": 1, "ambient": circle, "criticals": criticals}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("audit", "morse"):
+                assert run_cli(command, str(p)) == (2, "", f"error: {message}\n"), command
 
 
 def test_usage_error_is_exit_2():

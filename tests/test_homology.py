@@ -33,7 +33,9 @@ from helpers import (
     assert_profile_matches_oracle,
     euler_characteristic,
     invariant_factors_by_minors,
+    local_valuations,
     matrix_rows,
+    p_valuation,
     random_complex,
     transpose,
 )
@@ -123,6 +125,13 @@ def assert_snf_passes_independent_checks(m):
     assert smith_normal_form(transpose(m)).factors == factors
     if m.rows == m.cols == len(factors):
         assert math.prod(factors) == det
+    for p in (2, 3, 5, 7):
+        # e comes from the Bareiss rank alone: raised until every factor's
+        # valuation falls below it
+        e = 1
+        while len(found := local_valuations(m.rows, m.cols, m.entries, p, e)) < rank:
+            e *= 2
+        assert found == [p_valuation(f, p) for f in factors], p
 
 
 def test_snf_independent_checks_on_sparse_matrices():

@@ -347,11 +347,21 @@ def test_memoized_homology_matches_a_fresh_computation():
     pairs = [(Point(), TRIV), (Sphere(1), TW), (Torus2(), TRIV), (Torus2(), TW)]
     pairs += [(Sphere(n), TRIV) for n in range(1, 13)]
     pairs += [(RealProjective(n), c) for n in range(1, 31) for c in (TRIV, TW)]
-    data = rp5_data()
-    for space, character in pairs:
-        fresh = homology(catalog_complex(space, character))
-        assert data._homology(space, character) == fresh
-        assert data._homology(space, character) == fresh  # and when read back
+    for i, (space, character) in enumerate(pairs):
+        # each pair as the middle piece, at index 1..3, of an ambient that
+        # it fills up to the top dimension
+        index = 1 + i % 3
+        ambient = RealProjective(index + space_dim(space))
+        data = MorseBottData(
+            ambient,
+            [
+                CriticalSubmanifold(Point(), 0, TRIV),
+                CriticalSubmanifold(space, index, character),
+                CriticalSubmanifold(Point(), index + space_dim(space), TRIV),
+            ],
+        )
+        assert e2_page(data)[1] == homology(catalog_complex(space, character)).shifted(index)
+        assert data.ambient_homology() == homology(catalog_complex(ambient))
 
 
 def test_audit_builds_each_pair_once(monkeypatch):
@@ -378,22 +388,27 @@ def test_audit_builds_each_pair_once(monkeypatch):
     }
 
 
-def test_mb_and_the_report_read_no_piece_once_built(monkeypatch):
+def test_no_reader_computes_anything_once_built(monkeypatch):
     data = rp5_data()
-    asked = []
-    original = MorseBottData._homology
+    called = []
 
-    def recording(self, space, character=TRIV):
-        asked.append((space, character))
-        return original(self, space, character)
+    def recording(name, original):
+        def record(*args, **kwargs):
+            called.append(name)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(MorseBottData, "_homology", recording)
+        return record
+
+    for name in ("homology", "catalog_complex", "thom_pair_homology"):
+        monkeypatch.setattr(mbaudit.morsebott, name, recording(name, getattr(mbaudit.morsebott, name)))
     for mode in MODES:
         mb_polynomial(data, mode)
+    data.ambient_homology()
+    data.ambient_poincare()
+    assert e2_page(data) is e2_page(data)
     e2_consistency(data)
     e2_consistency(data, naive=True)
-    # MB in both modes was built with the data; only P is looked up
-    assert set(asked) == {(RealProjective(5), TRIV)}
+    assert called == []
 
 
 def test_audited_data_still_compares_and_hashes_by_value():
@@ -413,9 +428,7 @@ def test_inadmissible_character_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(InadmissibleCharacterError):
             CriticalSubmanifold(RealProjective(3), 0, TW)
-        with pytest.raises(InadmissibleCharacterError):
-            data._homology(Sphere(2), TW)
-    assert e2_consistency(data).ambient_euler == 2  # the memo kept no failure
+    assert e2_consistency(data).ambient_euler == 2
 
 
 def test_e2_consistency_equals_the_page_sums_on_every_fixture():

@@ -1,6 +1,7 @@
 """Property tests: the degree reader, the CLI exit-code contract on any
-JSON file, and the document round trip on catalog documents and on
-explicit spaces with Morse blocks.
+JSON file, the document round trip on catalog documents and on
+explicit spaces with Morse blocks, and Smith normal form on matrices
+with planted torsion.
 
 Runs are reproducible and leave no example database: every test is
 derandomized with a bounded number of examples.
@@ -13,11 +14,12 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbaudit import DocumentError, parse_document, serialize_document
+from mbaudit import DocumentError, parse_document, serialize_document, smith_normal_form
 from mbaudit.document import MAX_DEGREE, parse_degree_text
 
 import workloads
-from helpers import FIXTURES, FIXTURE_NAMES, REPO, run_cli
+from helpers import FIXTURES, FIXTURE_NAMES, REPO, planted_torsion_matrix, run_cli
+from test_homology import assert_snf_passes_independent_checks
 from test_morsebott import random_catalog_document
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -119,3 +121,13 @@ def test_explicit_documents_round_trip(seed):
         second = parse_document(text)
         assert second == first
         assert serialize_document(second) == text
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_snf_finds_planted_torsion_and_passes_the_independent_checks(seed):
+    # rank at most half the smaller side, rounded up: no determinant pins
+    # the product, so the local valuations carry the check at each prime
+    m, planted = planted_torsion_matrix(Random(seed))
+    assert_snf_passes_independent_checks(m)
+    assert smith_normal_form(m).factors == planted

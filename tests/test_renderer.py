@@ -1,13 +1,14 @@
 """CLI stdout checked against the renderer of the benchmark's oracle.
 
-``bench/oracle.py`` writes what ``audit``, ``homology`` and ``thom``
-print from closed forms, without mbaudit, so these checks reach
-generated documents and every catalog space, not only the invocations
-pinned in ``cli_golden.json``.
+``bench/oracle.py`` writes what ``audit``, ``homology``, ``thom`` and
+``morse`` print from closed forms and known constructions, without
+mbaudit, so these checks reach generated documents and every catalog
+space, not only the invocations pinned in ``cli_golden.json``.
 """
 
 import ast
 import json
+from itertools import islice
 from pathlib import Path
 from random import Random
 
@@ -70,3 +71,26 @@ def test_homology_and_thom_stdout_match_the_oracle_on_every_catalog_tag():
                     assert (code, out) == (3, "") and err.startswith("error: ")
                     continue
                 assert (code, out, err) == (0, oracle.thom_stdout(tag, rank, twisted), "")
+
+
+def test_morse_stdout_matches_the_oracle_on_explicit_documents(tmp_path):
+    # the "known" draws: a Morse block that is its ambient in another sign
+    # basis, with a `gauge` twist that every fourth draw makes inconsistent
+    path = tmp_path / "document.json"
+    items = workloads.ExplicitComplexes(REPO, 2026, 5.0).items(Random(2026))
+    known = [item for item in islice(items, 12) if item["family"] == "known"]
+    inconsistent = 0
+    for item in known:
+        path.write_text(item["input"])
+        top = max(g["index"] for g in json.loads(item["input"])["morse"]["generators"])
+        _, before, after = item["expected"]
+        assert run_cli("morse", str(path)) == (0, oracle.morse_stdout(before, top), "")
+        rank = item["rank"]
+        got = run_cli("morse", str(path), "--stabilize", str(rank), "--twist", "gauge")
+        if after == "InconsistentTwistError":
+            # the table before the twist is already printed
+            assert got[:2] == (4, oracle.morse_stdout(before, top)) and got[2].startswith("error: ")
+            inconsistent += 1
+            continue
+        assert got == (0, oracle.morse_stdout(before, top, (rank, "gauge", after)), "")
+    assert len(known) == 8 and inconsistent == 2
